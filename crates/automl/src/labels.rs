@@ -47,7 +47,7 @@ pub(crate) fn soft_labels(scores: &[f64], tau: f64) -> Vec<f64> {
 pub(crate) fn hard_labels(scores: &[f64]) -> Vec<f64> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &s) in scores.iter().enumerate() {
-        if s.is_finite() && best.map_or(true, |(_, b)| s < b) {
+        if s.is_finite() && best.is_none_or(|(_, b)| s < b) {
             best = Some((i, s));
         }
     }

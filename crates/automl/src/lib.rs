@@ -20,7 +20,6 @@
 //!   forecaster tying it all together.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod classifier;
 pub mod ensemble;

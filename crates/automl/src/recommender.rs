@@ -106,7 +106,7 @@ impl PerfMatrix {
     pub fn best_method(&self, i: usize) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (m, &s) in self.scores[i].iter().enumerate() {
-            if s.is_finite() && best.map_or(true, |(_, b)| s < b) {
+            if s.is_finite() && best.is_none_or(|(_, b)| s < b) {
                 best = Some((m, s));
             }
         }

@@ -15,8 +15,9 @@
 //! - `--threads N` sets the corpus sweep's worker count (default 1).
 //! - `--out-dir DIR` redirects the artifact directory (default `results`).
 //!
-//! Allocation attribution is on by default (the binary installs a counting
-//! global allocator feeding [`easytime_obs::count_alloc`]); set
+//! Allocation attribution is on by default (the binary installs
+//! [`easytime_obs::CountingAlloc`], which feeds
+//! [`easytime_obs::count_alloc`]); set
 //! `EASYTIME_PROF_ALLOC=0` to disable it, e.g. for the thread-count
 //! invariance comparison where per-thread warmup allocations would
 //! otherwise differ. `EASYTIME_BENCH_FAST=1` shrinks the sweep for CI.
@@ -24,48 +25,20 @@
 //! ```sh
 //! cargo run --release -p easytime-bench --bin exp_profile -- --deterministic
 //! ```
-//!
-//! The workspace denies `unsafe_code`, but a `GlobalAlloc` impl cannot be
-//! written without it; this binary opts back in locally.
-#![allow(unsafe_code)]
 
 use easytime::{EvalConfig, MetricRegistry, Strategy};
 use easytime_bench::{arg, arg_usize, print_table};
 use easytime_bench::{experiment_corpus, fast_zoo};
 use easytime_clock::ManualClock;
 use easytime_eval::{evaluate_corpus, RefitPolicy};
-use std::alloc::{GlobalAlloc, Layout, System};
+use easytime_obs::CountingAlloc;
 use std::path::Path;
 use std::process::ExitCode;
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        easytime_obs::count_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        easytime_obs::count_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        easytime_obs::count_alloc(layout.size());
-        System.alloc_zeroed(layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn fail(msg: &str) -> ExitCode {
-    // lint: allow(print) — CI diagnostic output from a binary
     eprintln!("exp_profile: FAIL: {msg}");
     ExitCode::FAILURE
 }
@@ -151,7 +124,6 @@ fn main() -> ExitCode {
         .collect();
     print_table(&["stage", "count", "self_ns", "total_ns", "allocs"], &rows);
 
-    // lint: allow(print) — CI status output from a binary
     println!(
         "exp_profile: OK ({} stages, {} flame stacks, {} spans{}{}) -> {}",
         profile.stages.len(),

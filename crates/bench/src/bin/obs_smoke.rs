@@ -112,7 +112,6 @@ fn knowledge_segment() -> Result<(), String> {
 }
 
 fn fail(msg: &str) -> ExitCode {
-    // lint: allow(print) — CI diagnostic output from a binary
     eprintln!("obs_smoke: FAIL: {msg}");
     ExitCode::FAILURE
 }
@@ -299,7 +298,6 @@ fn main() -> ExitCode {
         return fail("PROFILE.json flame section is missing the smoke.run;smoke.build_corpus stack");
     }
 
-    // lint: allow(print) — CI status output from a binary
     println!(
         "obs_smoke: OK (coverage {coverage:.3}, root self {:.1}%, {} spans, {} stages, \
          {} counters) -> {}",

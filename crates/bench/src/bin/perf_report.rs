@@ -81,7 +81,6 @@ fn flatten(doc: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) {
 }
 
 fn fail(msg: &str) -> ExitCode {
-    // lint: allow(print) — CI diagnostic output from a binary
     eprintln!("perf_report: FAIL: {msg}");
     ExitCode::FAILURE
 }
@@ -200,7 +199,6 @@ fn main() -> ExitCode {
         if let Err(e) = std::fs::write(&baseline_path, render_flat(&current)) {
             return fail(&format!("writing {} failed: {e}", baseline_path.display()));
         }
-        // lint: allow(print) — CI status output from a binary
         println!(
             "perf_report: wrote {} ({} series)",
             baseline_path.display(),
@@ -290,13 +288,11 @@ fn main() -> ExitCode {
             regressions.len(),
             current.len(),
         ) {
-            // lint: allow(print) — CI status output from a binary
             Ok(run) => println!("perf_report: trajectory row {run} appended"),
             Err(e) => return fail(&e),
         }
     }
 
-    // lint: allow(print) — CI status output from a binary
     println!(
         "perf_report: {} series ({} gated, {} new, {} stale baseline entries)",
         current.len(),
@@ -305,11 +301,9 @@ fn main() -> ExitCode {
         stale.len()
     );
     for name in stale {
-        // lint: allow(print) — CI status output from a binary
         println!("  note: baseline series {name} no longer produced");
     }
     if regressions.is_empty() {
-        // lint: allow(print) — CI status output from a binary
         println!("perf_report: OK — no gated series regressed");
         return ExitCode::SUCCESS;
     }

@@ -55,6 +55,7 @@ impl Harness {
     }
 
     /// Benchmarks one routine under `name`.
+    #[expect(clippy::print_stdout, reason = "the harness is a console reporter by design")]
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
         let mut bencher = Bencher { measured: None };
         f(&mut bencher);
@@ -78,7 +79,6 @@ impl Harness {
                 easytime_obs::gauge(&format!("bench.{name}.min_ns"), min);
                 easytime_obs::add_labeled("bench.measured", name, 1);
             }
-            // lint: allow(print) — the harness is a console reporter by design
             println!(
                 "{name:<40} median {:>12}  min {:>12}  ({iters} iters/sample)",
                 format_ns(median),
@@ -96,19 +96,17 @@ impl Harness {
 
     /// Prints a summary table of everything measured and, when tracing is
     /// enabled, flushes the shared metrics schema to `results/`.
+    #[expect(clippy::print_stdout, reason = "the harness is a console reporter by design")]
     pub fn finish(self) {
         if self.results.is_empty() {
             return;
         }
-        // lint: allow(print) — the harness is a console reporter by design
         println!(
             "\n{:<40} {:>14} {:>14} {:>12}",
             "benchmark", "median", "min", "iters/sample"
         );
-        // lint: allow(print) — the harness is a console reporter by design
         println!("{}", "-".repeat(84));
         for m in &self.results {
-            // lint: allow(print) — the harness is a console reporter by design
             println!(
                 "{:<40} {:>14} {:>14} {:>12}",
                 m.name,

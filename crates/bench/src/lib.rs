@@ -25,6 +25,11 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
 
 /// The standard experiment corpus: all ten domains, `per_domain` series
 /// each, plus one multivariate dataset per domain.
+#[expect(
+    clippy::expect_used,
+    reason = "the corpus configuration below is static and valid by construction; experiment \
+              binaries want a loud failure"
+)]
 pub fn experiment_corpus(per_domain: usize, length: usize, seed: u64) -> Vec<Dataset> {
     build_corpus(&CorpusConfig {
         per_domain,
@@ -34,8 +39,6 @@ pub fn experiment_corpus(per_domain: usize, length: usize, seed: u64) -> Vec<Dat
         seed,
         ..CorpusConfig::default()
     })
-    // lint: allow(panic) — the corpus configuration above is static and
-    // valid by construction; experiment binaries want a loud failure.
     .expect("experiment corpus config is valid")
 }
 
@@ -123,6 +126,7 @@ pub fn global_best_method(matrix: &PerfMatrix) -> usize {
 }
 
 /// Renders a simple fixed-width table to stdout.
+#[expect(clippy::print_stdout, reason = "table rendering for experiment binaries")]
 pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -138,11 +142,9 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
             s.push_str(&format!("| {c:<w$} "));
         }
         s.push('|');
-        // lint: allow(print) — table rendering for experiment binaries
         println!("{s}");
     };
     line(header.iter().map(|h| h.to_string()).collect());
-    // lint: allow(print) — table rendering for experiment binaries
     println!(
         "|{}|",
         widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("|")

@@ -20,9 +20,11 @@ use easytime_models::zoo::ZooEntry;
 /// Creates a fresh knowledge database with the schema installed.
 pub fn new_knowledge_db() -> Database {
     let mut db = Database::new();
-    // lint: allow(panic) — installing the schema into a brand-new empty
-    // database cannot collide with existing tables; failure here is a bug
-    // in the schema itself, not a runtime condition.
+    #[expect(
+        clippy::expect_used,
+        reason = "installing the schema into a brand-new empty database cannot collide with \
+                  existing tables; failure here is a bug in the schema itself"
+    )]
     create_knowledge_schema(&mut db).expect("fresh database accepts the schema");
     db
 }

@@ -39,7 +39,6 @@
 //! and `easytime-qa` (NL2SQL and answers).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod config;
 pub mod error;

@@ -60,9 +60,11 @@ impl EasyTime {
         let zoo = standard_zoo();
         let mut db = new_knowledge_db();
         for entry in &zoo {
-            // lint: allow(panic) — a freshly created schema statically
-            // accepts the standard roster; failure here is a programming
-            // error in the schema itself, not a runtime condition.
+            #[expect(
+                clippy::expect_used,
+                reason = "a freshly created schema statically accepts the standard roster; \
+                          failure here is a programming error in the schema itself"
+            )]
             record_method(&mut db, entry).expect("fresh schema accepts the roster");
         }
         EasyTime {

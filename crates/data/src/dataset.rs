@@ -168,12 +168,14 @@ impl Dataset {
 
     /// Returns the primary univariate view: the series itself, or the first
     /// channel of a multivariate dataset.
+    #[expect(
+        clippy::expect_used,
+        reason = "MultiSeries construction rejects zero-channel data, so channel 0 always exists"
+    )]
     pub fn primary_series(&self) -> TimeSeries {
         match &self.data {
             SeriesData::Univariate(ts) => ts.clone(),
             SeriesData::Multivariate(ms) => {
-                // lint: allow(panic) — MultiSeries construction rejects
-                // zero-channel data, so channel 0 always exists.
                 ms.to_univariate(0).expect("MultiSeries always has a channel 0")
             }
         }

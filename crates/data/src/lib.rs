@@ -15,7 +15,6 @@
 //! [`csv`] module and dropped into the same registry.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod characteristics;
 pub mod csv;

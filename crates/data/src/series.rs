@@ -130,9 +130,12 @@ impl TimeSeries {
     }
 
     /// Last observation.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor rejects empty value vectors, so a TimeSeries always has a \
+                  last observation"
+    )]
     pub fn last(&self) -> f64 {
-        // lint: allow(panic) — the constructor rejects empty value vectors,
-        // so a TimeSeries always has a last observation.
         *self.values.last().expect("TimeSeries is never empty")
     }
 

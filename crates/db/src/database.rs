@@ -59,7 +59,7 @@ impl QueryResult {
         let sep = |out: &mut String| {
             for w in &widths {
                 out.push('+');
-                out.extend(std::iter::repeat('-').take(w + 2));
+                out.extend(std::iter::repeat_n('-', w + 2));
             }
             out.push_str("+\n");
         };
@@ -67,7 +67,7 @@ impl QueryResult {
             for (c, w) in cells.iter().zip(&widths) {
                 out.push_str("| ");
                 out.push_str(c);
-                out.extend(std::iter::repeat(' ').take(w - c.len() + 1));
+                out.extend(std::iter::repeat_n(' ', w - c.len() + 1));
             }
             out.push_str("|\n");
         };

@@ -27,7 +27,6 @@
 //! module can generate round-trips through this parser and executor.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod ast;
 pub mod database;

@@ -1,50 +1,19 @@
 //! Proof that warm index seeks are allocation-free.
 //!
-//! A counting global allocator wraps the system allocator and the two hot
-//! index entry points — `Index::probe_into` (full-width key lookup) and
-//! `Index::collect_range` (ascending prefix/range walk) — run repeatedly
-//! against a populated index with a pre-built key and a reused output
-//! buffer. After a warm-up pass grows the buffer to capacity, N seeks and
+//! [`easytime_obs::CountingAlloc`] wraps the system allocator and the two
+//! hot index entry points — `Index::probe_into` (full-width key lookup)
+//! and `Index::collect_range` (ascending prefix/range walk) — run
+//! repeatedly against a populated index with a pre-built key and a reused
+//! output buffer. After a warm-up pass grows the buffer to capacity, N seeks and
 //! 10·N seeks must cost the *same* number of allocations (zero per
 //! additional seek): the B-tree lookup, the prefix comparison, and the id
 //! copy all work in place. (The descending walk deliberately buffers key
 //! groups for reversal and is excluded — it is not on the probe hot path.)
-//!
-//! The workspace denies `unsafe_code`, but a `GlobalAlloc` impl cannot be
-//! written without it; this test binary opts back in locally.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use easytime_db::index::IndexKey;
 use easytime_db::schema::{Column, ColumnType, Schema};
 use easytime_db::{Database, Value};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
+use easytime_obs::CountingAlloc;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -83,11 +52,11 @@ fn seek_db() -> Database {
 fn measured<F: FnMut()>(n: usize, mut body: F) -> u64 {
     let mut min = u64::MAX;
     for _ in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = CountingAlloc::allocations();
         for _ in 0..n {
             body();
         }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = CountingAlloc::allocations();
         min = min.min(after - before);
     }
     min

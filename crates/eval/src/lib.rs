@@ -13,7 +13,7 @@
 //!   (the stand-in for the web frontend's result panels).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(clippy::float_cmp)]
 
 pub mod error;
 pub mod metrics;

@@ -7,6 +7,8 @@
 //! custom metrics. All metrics are *lower-is-better* except R², which is
 //! negated on request via [`Metric::lower_is_better`].
 
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use crate::error::EvalError;
 use easytime_linalg::stats::mean;
 use std::collections::BTreeMap;

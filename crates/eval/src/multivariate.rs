@@ -52,7 +52,7 @@ pub fn evaluate_multivariate(
         }
         Err(e) => {
             // Failure diagnostics are structured events, not eprintln!
-            // (lint R11); the record still captures the message.
+            // (`clippy::print_stderr`); the record still captures the message.
             easytime_obs::add("eval.model_failures", 1);
             if easytime_obs::enabled() {
                 easytime_obs::warn(

@@ -249,7 +249,7 @@ fn render_ascii(header: &[String], rows: &[Vec<String>]) -> String {
     let sep = |out: &mut String| {
         for w in &widths {
             out.push('+');
-            out.extend(std::iter::repeat('-').take(w + 2));
+            out.extend(std::iter::repeat_n('-', w + 2));
         }
         out.push_str("+\n");
     };
@@ -259,7 +259,7 @@ fn render_ascii(header: &[String], rows: &[Vec<String>]) -> String {
             let cell = cells.get(i).unwrap_or(&empty);
             out.push_str("| ");
             out.push_str(cell);
-            out.extend(std::iter::repeat(' ').take(w - cell.len() + 1));
+            out.extend(std::iter::repeat_n(' ', w - cell.len() + 1));
         }
         out.push_str("|\n");
     };

@@ -18,7 +18,12 @@
 //! guidelines.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::float_cmp
+)]
 
 pub mod kernels;
 pub mod matrix;

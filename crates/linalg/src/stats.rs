@@ -51,8 +51,12 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     let mut sorted: Vec<f64> = xs.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
     let pos = q * (sorted.len() - 1) as f64;
-    // lint: allow(lossy-cast) — q is validated to [0, 1], so pos lies in
-    // [0, len-1] and truncation yields an exact, in-range index.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "q is validated to [0, 1], so pos lies in [0, len-1] and truncation yields an \
+                  exact, in-range index"
+    )]
     let lo = pos.floor() as usize;
     let hi = (lo + 1).min(sorted.len() - 1);
     let frac = pos - lo as f64;

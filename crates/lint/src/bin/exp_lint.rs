@@ -1,6 +1,6 @@
 //! Experiment E-lint — linter throughput across all three phases.
 //!
-//! Times workspace discovery, the phase-1 per-file rules (R1–R13), the
+//! Times workspace discovery, the phase-1 per-file rules (R2–R13), the
 //! phase-2+3 semantic analysis (model build, R14–R17, effect closure,
 //! R18–R20), and effect-table serialization over the *real* workspace
 //! tree, then writes `results/BENCH_lint.json`.

@@ -413,7 +413,7 @@ pub struct EffectTable {
 /// Resolves each `// lint: hot(…)` marker in `file` to the function whose
 /// head is the first at or below the marker's target line. `None` entries
 /// are dangling markers (reported as R0 by [`check_effects`]).
-fn hot_targets<'a>(file: &'a FileModel) -> Vec<(Option<&'a FnSummary>, &'a crate::engine::HotMark)> {
+fn hot_targets(file: &FileModel) -> Vec<(Option<&FnSummary>, &crate::engine::HotMark)> {
     file.hots
         .iter()
         .map(|mark| {
@@ -647,8 +647,8 @@ fn alnum_len(text: &str) -> usize {
 
 /// Runs R18/R19/R20 (plus R0 for malformed hot markers) against the
 /// closed effect table. Every diagnostic goes through the shared
-/// [`push_allowed`] path, so `// lint: allow(<rule>) — <why>` hatches,
-/// `--severity` overrides, and `--baseline` suppression apply uniformly.
+/// [`push_allowed`] path, so `// lint: allow(<rule>) — <why>` hatches
+/// apply uniformly.
 pub(crate) fn check_effects(ws: &WorkspaceModel, table: &EffectTable) -> Vec<Diagnostic> {
     let idx = build_index(ws);
     let empty = BTreeSet::new();

@@ -95,7 +95,7 @@ impl<'a> SourceFile<'a> {
     /// True when the k-th code token is the punctuation char `c`.
     pub(crate) fn is_punct(&self, k: usize, c: char) -> bool {
         self.ct(k).is_some_and(|t| t.kind == TokenKind::Punct)
-            && self.ctext(k).chars().next() == Some(c)
+            && self.ctext(k).starts_with(c)
     }
 
     /// True when code tokens `k..k+s.len()` spell the multi-char operator
@@ -359,7 +359,7 @@ impl<'a> SourceFile<'a> {
 
     /// True when an *outer* doc comment or a `#[doc…]` attribute
     /// immediately precedes token index `i` (whitespace and other
-    /// attributes may intervene) — the R9 documentation check.
+    /// attributes may intervene) — the workspace model's doc state.
     pub(crate) fn has_doc_before(&self, i: usize) -> bool {
         let mut j = i;
         while j > 0 {

@@ -411,34 +411,6 @@ fn number(cur: &mut Cursor<'_>) -> TokenKind {
     TokenKind::NumLit
 }
 
-/// True when a numeric-literal text denotes a float (fraction, exponent,
-/// or an `f32`/`f64` suffix) — radix-prefixed literals are never floats.
-pub(crate) fn num_is_float(text: &str) -> bool {
-    let t = text.trim();
-    if t.starts_with("0x") || t.starts_with("0X") || t.starts_with("0o") || t.starts_with("0b") {
-        return false;
-    }
-    t.contains('.')
-        || t.ends_with("f32")
-        || t.ends_with("f64")
-        || t.bytes().any(|b| b == b'e' || b == b'E')
-}
-
-/// Parses a float-literal text to its value, ignoring `_` separators and a
-/// type suffix. Returns `None` for non-float or malformed text.
-pub(crate) fn float_value(text: &str) -> Option<f64> {
-    let mut t: String = text.chars().filter(|&c| c != '_').collect();
-    for suffix in ["f32", "f64"] {
-        if let Some(stripped) = t.strip_suffix(suffix) {
-            t = stripped.to_string();
-            if t.is_empty() {
-                return None;
-            }
-        }
-    }
-    t.parse::<f64>().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,13 +503,6 @@ mod tests {
             .map(|(_, t)| t.as_str())
             .collect();
         assert_eq!(nums, vec!["1.5", "2.5e-3", "1_000u64", "0xFF", "1.", "1", "2", "1", "2"]);
-        assert!(num_is_float("1.5"));
-        assert!(num_is_float("2e9"));
-        assert!(num_is_float("3f64"));
-        assert!(!num_is_float("0xFF"));
-        assert!(!num_is_float("1_000u64"));
-        assert_eq!(float_value("0.0"), Some(0.0));
-        assert_eq!(float_value("1_0.5f64"), Some(10.5));
     }
 
     #[test]

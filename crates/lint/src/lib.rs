@@ -7,34 +7,26 @@
 //! patterns inside string literals and comments can never false-positive,
 //! and `#[cfg(test)]` exemption follows real item boundaries.
 //!
-//! The rules:
+//! The linter keeps only the rules no compiler lint covers. The retired
+//! codes R1 (panics), R3 (lossy casts), R5 (process exit), R7 (float
+//! equality), R9 (missing docs), and R11 (print macros) are enforced by
+//! rustc and clippy through `[workspace.lints]` and the
+//! `cargo clippy --workspace --lib -- -D warnings` gate in `scripts/ci.sh`.
 //!
-//! * **R1 no-panic** — no `unwrap()` / `expect()` / `panic!`-family calls
-//!   in library code. Tests, benches, examples, and binaries are exempt.
+//! The token rules:
+//!
 //! * **R2 dependency allowlist** — every `Cargo.toml` dependency must be a
 //!   workspace crate; the build stays hermetic.
-//! * **R3 lossy casts** — no lossy `as` casts in numeric hot paths
-//!   (`linalg`, `eval/src/metrics.rs`, `models`).
 //! * **R4 typed errors** — `pub fn` returning `Result` uses the crate's
 //!   typed error, not `Box<dyn Error>`.
-//! * **R5 no process exit** — `std::process::exit` only in binaries.
 //! * **R6 NaN-safe ordering** — no `partial_cmp(..).unwrap()` /
 //!   `.unwrap_or(Ordering::Equal)` comparators anywhere (tests included);
 //!   float comparators must use `f64::total_cmp` so rankings stay
 //!   deterministic under NaN.
-//! * **R7 float equality** — no `==`/`!=` against non-zero float literals
-//!   in the numeric crates (`linalg`, `models`, `eval`); zero guards
-//!   (`x == 0.0`) are the accepted idiom.
 //! * **R8 determinism** — no iteration over `HashMap`/`HashSet` in
 //!   library code (order is nondeterministic; reports and SQL results must
 //!   not depend on it), and no direct `Instant::now` / `SystemTime` reads
 //!   outside the `easytime-clock` helper.
-//! * **R9 pub-API docs** — every exported (`pub`) fn, struct, enum,
-//!   trait, type, const, static, or union carries a `///` doc comment.
-//! * **R11 no print macros** — no `println!` / `eprintln!` (or their
-//!   non-newline forms) in library code; diagnostics go through
-//!   `easytime-obs` events and console output belongs to `src/bin`.
-//!   `easytime-obs` itself is exempt (it is the sanctioned sink).
 //! * **R12 policy wildcard** — a `match` over a refit policy
 //!   (scrutinee mentions `refit` / `refit_policy` / `RefitPolicy`) must
 //!   not contain a top-level `_` arm: adding a `RefitPolicy` variant has
@@ -89,8 +81,7 @@
 //!
 //! A bare marker is itself a violation (R0). Diagnostics print as
 //! `file:line: R# message`; `--format json` emits machine-readable records
-//! and `--baseline` suppresses a committed set of known findings so CI
-//! fails only on *new* violations (R10).
+//! (R10).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -108,28 +99,16 @@ pub mod rules;
 /// Which invariant a diagnostic belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// R1: no panicking calls in library code.
-    NoPanic,
     /// R2: dependencies restricted to workspace crates.
     DepAllowlist,
-    /// R3: no lossy `as` casts in numeric hot paths.
-    LossyCast,
     /// R4: public `Result` APIs use typed errors.
     TypedError,
-    /// R5: `std::process::exit` only in binaries.
-    ProcessExit,
     /// R6: no NaN-unsafe `partial_cmp` comparators; use `total_cmp`.
     FloatOrdering,
-    /// R7: no float `==`/`!=` against non-zero literals in numeric crates.
-    FloatEq,
     /// R8: no unordered hash-container iteration in library code.
     HashOrder,
     /// R8: wall-clock reads only inside the `easytime-clock` helper.
     WallClock,
-    /// R9: exported items carry `///` docs.
-    MissingDocs,
-    /// R11: no `println!`/`eprintln!` in library code; use `easytime-obs`.
-    PrintMacro,
     /// R12: no `_` arm in `match`es over a refit policy.
     PolicyWildcard,
     /// R13: no materialized `.transpose()` feeding `.matmul`/`.matvec`.
@@ -153,20 +132,14 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Short rule code used in diagnostics (`R1`…`R13`; `R0` for malformed
+    /// Short rule code used in diagnostics (`R2`…`R20`; `R0` for malformed
     /// annotations). `HashOrder` and `WallClock` are both facets of R8.
     pub fn code(self) -> &'static str {
         match self {
-            Rule::NoPanic => "R1",
             Rule::DepAllowlist => "R2",
-            Rule::LossyCast => "R3",
             Rule::TypedError => "R4",
-            Rule::ProcessExit => "R5",
             Rule::FloatOrdering => "R6",
-            Rule::FloatEq => "R7",
             Rule::HashOrder | Rule::WallClock => "R8",
-            Rule::MissingDocs => "R9",
-            Rule::PrintMacro => "R11",
             Rule::PolicyWildcard => "R12",
             Rule::MaterializedTranspose => "R13",
             Rule::ApiSnapshot => "R14",
@@ -183,17 +156,11 @@ impl Rule {
     /// The name accepted by `// lint: allow(<name>)` for this rule.
     pub(crate) fn allow_name(self) -> &'static str {
         match self {
-            Rule::NoPanic => "panic",
             Rule::DepAllowlist => "dependency",
-            Rule::LossyCast => "lossy-cast",
             Rule::TypedError => "boxed-error",
-            Rule::ProcessExit => "process-exit",
             Rule::FloatOrdering => "float-ordering",
-            Rule::FloatEq => "float-eq",
             Rule::HashOrder => "hash-order",
             Rule::WallClock => "wall-clock",
-            Rule::MissingDocs => "missing-docs",
-            Rule::PrintMacro => "print",
             Rule::PolicyWildcard => "policy-wildcard",
             Rule::MaterializedTranspose => "materialized-transpose",
             Rule::ApiSnapshot => "api-snapshot",
@@ -214,7 +181,7 @@ impl Rule {
 /// README contains exactly these rows).
 #[derive(Debug, Clone, Copy)]
 pub struct RuleDoc {
-    /// Rule code (`R1` … `R17`).
+    /// Rule code (`R2` … `R20`).
     pub code: &'static str,
     /// Escape-hatch name accepted by `// lint: allow(<name>)`.
     pub allow: &'static str,
@@ -228,16 +195,9 @@ pub struct RuleDoc {
 
 /// The rule-documentation table, ordered by rule number. R8 appears once
 /// with both of its hatch names; R10 is the reporting layer itself and has
-/// no row (it cannot be violated, only configured).
+/// no row (it cannot be violated), nor do the compiler-enforced codes R1,
+/// R3, R5, R7, R9, and R11.
 pub const RULE_DOCS: &[RuleDoc] = &[
-    RuleDoc {
-        code: "R1",
-        allow: "panic",
-        enforces: "no unwrap()/expect()/panic!-family calls in library code",
-        rationale: "a forecasting library must surface failures as typed errors the caller can \
-                    handle; a panic in one model aborts a whole evaluation sweep",
-        scope: "library code (tests, benches, examples, and binaries are exempt)",
-    },
     RuleDoc {
         code: "R2",
         allow: "dependency",
@@ -245,14 +205,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         rationale: "the build stays hermetic and std-only: no supply-chain drift, no version \
                     skew, reproducible from a clean checkout with no network",
         scope: "all dependency sections of every manifest, including [workspace.dependencies]",
-    },
-    RuleDoc {
-        code: "R3",
-        allow: "lossy-cast",
-        enforces: "no lossy `as` casts in numeric hot paths",
-        rationale: "silent truncation in kernel code corrupts forecasts; conversions must be \
-                    explicit and checked at the boundary",
-        scope: "linalg/src, models/src, and eval/src/metrics.rs library code",
     },
     RuleDoc {
         code: "R4",
@@ -263,28 +215,12 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         scope: "public functions in library code",
     },
     RuleDoc {
-        code: "R5",
-        allow: "process-exit",
-        enforces: "std::process::exit only in binaries",
-        rationale: "a library that exits the process steals the host's shutdown path and skips \
-                    destructors; only a binary owns the exit code",
-        scope: "library code (binaries are exempt)",
-    },
-    RuleDoc {
         code: "R6",
         allow: "float-ordering",
         enforces: "no NaN-unsafe partial_cmp(..).unwrap()-style comparators; use total_cmp",
         rationale: "one NaN in a ranking either panics or silently reorders results; \
                     f64::total_cmp keeps leaderboards deterministic",
         scope: "everywhere, tests included",
-    },
-    RuleDoc {
-        code: "R7",
-        allow: "float-eq",
-        enforces: "no ==/!= against non-zero float literals in numeric crates",
-        rationale: "exact float equality against computed values is almost always a logic bug; \
-                    zero guards (x == 0.0) are the accepted idiom",
-        scope: "linalg, models, and eval library code",
     },
     RuleDoc {
         code: "R8",
@@ -294,22 +230,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         rationale: "hash order and wall time are the two ambient nondeterminism sources; both \
                     must flow through deterministic choke points (BTree iteration, the Clock)",
         scope: "library code (easytime-clock itself is exempt from the clock facet)",
-    },
-    RuleDoc {
-        code: "R9",
-        allow: "missing-docs",
-        enforces: "every exported (pub) item carries a /// doc comment",
-        rationale: "the pub surface is the contract; an undocumented export is an API the next \
-                    reader has to reverse-engineer",
-        scope: "pub items in library code (pub(crate) and test items are exempt)",
-    },
-    RuleDoc {
-        code: "R11",
-        allow: "print",
-        enforces: "no println!/eprintln! (or print!/eprint!) in library code",
-        rationale: "console output belongs to binaries; diagnostics go through easytime-obs so \
-                    they are capturable, filterable, and deterministic in tests",
-        scope: "library code (easytime-obs itself is the sanctioned sink)",
     },
     RuleDoc {
         code: "R12",
@@ -427,7 +347,7 @@ pub fn readme_rule_rows() -> String {
 }
 
 /// How serious a diagnostic is. `Error` fails the build; `Warn` is
-/// reported but does not affect the exit code (R10 severity config).
+/// reported but does not affect the exit code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// Fails the build.
@@ -444,15 +364,6 @@ impl Severity {
             Severity::Warn => "warn",
         }
     }
-
-    /// Parses `error` / `warn` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s.to_ascii_lowercase().as_str() {
-            "error" | "deny" => Some(Severity::Error),
-            "warn" | "warning" => Some(Severity::Warn),
-            _ => None,
-        }
-    }
 }
 
 /// One violation, anchored to a file and 1-based line.
@@ -464,7 +375,7 @@ pub struct Diagnostic {
     pub line: usize,
     /// Violated rule.
     pub rule: Rule,
-    /// Severity (defaults to `Error`; overridable via `--severity`).
+    /// Severity (`Error` unless the rule reports a warning).
     pub severity: Severity,
     /// Human-readable description.
     pub message: String,
@@ -474,18 +385,6 @@ impl Diagnostic {
     /// Builds a diagnostic with the default (error) severity.
     pub fn new(file: &Path, line: usize, rule: Rule, message: String) -> Diagnostic {
         Diagnostic { file: file.to_path_buf(), line, rule, severity: Severity::Error, message }
-    }
-
-    /// The baseline-suppression key: file, rule code, and message —
-    /// deliberately excluding the line number so unrelated edits that
-    /// shift lines do not invalidate a committed baseline.
-    pub(crate) fn baseline_key(&self) -> String {
-        format!(
-            "{}\t{}\t{}",
-            self.file.display().to_string().replace('\\', "/"),
-            self.rule.code(),
-            self.message
-        )
     }
 }
 
@@ -500,35 +399,24 @@ impl fmt::Display for Diagnostic {
 pub struct FileClass {
     /// Library code under `crates/<name>/src` (not a binary target).
     pub is_library: bool,
-    /// Binary target (`src/bin/**` or `src/main.rs`).
-    pub is_bin: bool,
     /// Test / bench / example target.
     pub is_test_like: bool,
-    /// Numeric hot path subject to R3.
-    pub is_hot_numeric: bool,
-    /// Float-sensitive crate subject to R7 (`linalg`, `models`, `eval`).
-    pub is_float_path: bool,
 }
 
-/// Classifies a workspace-relative path (`crates/<name>/...`).
+/// Classifies a workspace-relative path (`crates/<name>/...`). Binary
+/// targets (`src/bin/**`, `src/main.rs`) are neither library nor
+/// test-like.
 pub fn classify(rel_path: &Path) -> FileClass {
     let p = rel_path.to_string_lossy().replace('\\', "/");
     let is_bin = p.contains("/src/bin/") || p.ends_with("/src/main.rs");
     let is_test_like =
         p.contains("/tests/") || p.contains("/benches/") || p.contains("/examples/");
     let is_library = p.contains("/src/") && !is_bin && !is_test_like;
-    let is_hot_numeric = is_library
-        && (p.starts_with("crates/linalg/src/")
-            || p.starts_with("crates/models/src/")
-            || p == "crates/eval/src/metrics.rs");
-    let is_float_path = is_library
-        && (p.starts_with("crates/linalg/src/")
-            || p.starts_with("crates/models/src/")
-            || p.starts_with("crates/eval/src/"));
-    FileClass { is_library, is_bin, is_test_like, is_hot_numeric, is_float_path }
+    FileClass { is_library, is_test_like }
 }
 
-/// Runs all token-level rules (R1, R3–R9) over one Rust source file.
+/// Runs all token-level rules (R4, R6, R8, R12, R13) over one Rust source
+/// file.
 pub fn lint_rust_source(rel_path: &Path, source: &str) -> Vec<Diagnostic> {
     let class = classify(rel_path);
     let sf = engine::SourceFile::parse(source);
@@ -608,7 +496,7 @@ pub fn collect_workspace_sources(root: &Path) -> std::io::Result<Vec<model::Sour
     Ok(sources)
 }
 
-/// Phase 1: runs the per-file rules (R1–R13) over in-memory sources.
+/// Phase 1: runs the per-file rules (R2–R13) over in-memory sources.
 /// Entries are processed in path order regardless of input order.
 pub fn lint_sources(sources: &[model::SourceEntry]) -> Vec<Diagnostic> {
     let mut sorted: Vec<&model::SourceEntry> = sources.iter().collect();
@@ -788,73 +676,6 @@ fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Applies `--severity CODE=LEVEL` overrides to a diagnostic batch.
-/// Unknown codes are ignored (the CLI validates separately).
-pub fn apply_severities(diags: &mut [Diagnostic], overrides: &[(String, Severity)]) {
-    for d in diags.iter_mut() {
-        for (code, sev) in overrides {
-            if d.rule.code().eq_ignore_ascii_case(code) {
-                d.severity = *sev;
-            }
-        }
-    }
-}
-
-/// A committed set of known findings that CI tolerates: any diagnostic
-/// whose [`Diagnostic::baseline_key`] appears here is suppressed, so only
-/// *new* violations fail the build (R10).
-#[derive(Debug, Clone, Default)]
-pub struct Baseline {
-    /// Remaining suppression keys (a multiset: one entry per tolerated
-    /// occurrence).
-    entries: Vec<String>,
-}
-
-impl Baseline {
-    /// Parses the baseline file format: one [`Diagnostic::baseline_key`]
-    /// per line; blank lines and `#` comments are ignored.
-    pub fn parse(text: &str) -> Baseline {
-        let entries = text
-            .lines()
-            .map(str::trim_end)
-            .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
-            .map(str::to_string)
-            .collect();
-        Baseline { entries }
-    }
-
-    /// Splits diagnostics into (kept, suppressed-count). Each baseline
-    /// entry suppresses at most one matching diagnostic.
-    pub fn apply(&self, diags: Vec<Diagnostic>) -> (Vec<Diagnostic>, usize) {
-        let mut remaining = self.entries.clone();
-        let mut kept = Vec::new();
-        let mut suppressed = 0;
-        for d in diags {
-            let key = d.baseline_key();
-            if let Some(pos) = remaining.iter().position(|e| *e == key) {
-                remaining.swap_remove(pos);
-                suppressed += 1;
-            } else {
-                kept.push(d);
-            }
-        }
-        (kept, suppressed)
-    }
-
-    /// Renders diagnostics as baseline-file content (for `--write-baseline`).
-    pub fn render(diags: &[Diagnostic]) -> String {
-        let mut out = String::from(
-            "# easytime-lint baseline: one `file<TAB>rule<TAB>message` key per line.\n\
-             # Entries here are tolerated by CI; new violations still fail the build.\n",
-        );
-        for d in diags {
-            out.push_str(&d.baseline_key());
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// Renders diagnostics as a JSON array of
 /// `{file, line, rule, allow, severity, message}` records (R10,
 /// `--format json`) for CI artifacts.
@@ -907,102 +728,36 @@ mod tests {
         diags.iter().map(|d| d.rule).collect()
     }
 
-    // ---- R1 ----
+    // ---- escape hatches (shared by every token rule) ----
 
     #[test]
-    fn r1_flags_unwrap_expect_and_panic_in_library_code() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n\
-                   \x20   let a = x.unwrap();\n\
-                   \x20   let b = x.expect(\"present\");\n\
-                   \x20   if a == 0 { panic!(\"zero\"); }\n\
-                   \x20   a + b\n\
-                   }\n";
-        let diags = lint_rust_source(&lib_path(), src);
-        assert_eq!(rules_of(&diags), vec![Rule::NoPanic, Rule::NoPanic, Rule::NoPanic]);
-        assert_eq!(diags[0].line, 2);
-        assert_eq!(diags[1].line, 3);
-        assert_eq!(diags[2].line, 4);
-    }
-
-    #[test]
-    fn r1_ignores_unwrap_or_variants_and_expect_err() {
-        let src = "fn f(x: Option<u32>, r: Result<u32, ()>) -> u32 {\n\
-                   \x20   r.expect_err(\"nope\");\n\
-                   \x20   x.unwrap_or(1) + x.unwrap_or_else(|| 2) + x.unwrap_or_default()\n\
+    fn r8_escape_hatch_with_justification_is_accepted() {
+        let src = "fn f() -> std::time::Instant {\n\
+                   \x20   // lint: allow(wall-clock) — the one sanctioned epoch read of this demo\n\
+                   \x20   std::time::Instant::now()\n\
                    }\n";
         assert!(lint_rust_source(&lib_path(), src).is_empty());
     }
 
     #[test]
-    fn r1_catches_multi_line_expect_calls() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n\
-                   \x20   x.expect\n\
-                   \x20       (\"present across lines\")\n\
-                   }\n";
-        let diags = lint_rust_source(&lib_path(), src);
-        assert_eq!(rules_of(&diags), vec![Rule::NoPanic]);
-        assert_eq!(diags[0].line, 2);
-    }
-
-    #[test]
-    fn r1_skips_strings_comments_and_test_modules() {
-        let src = "fn f() {\n\
-                   \x20   let _s = \"contains .unwrap() and panic!\";\n\
-                   \x20   // a comment mentioning .expect(\"x\") is fine\n\
-                   \x20   /* block with panic!(\"boom\") */\n\
-                   }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                   \x20   #[test]\n\
-                   \x20   fn t() { Some(1).unwrap(); panic!(\"fine in tests\"); }\n\
+    fn r8_escape_hatch_spanning_a_comment_block_is_accepted() {
+        let src = "fn f() -> std::time::Instant {\n\
+                   \x20   // lint: allow(wall-clock) — the construction above\n\
+                   \x20   // guarantees this runs once per process.\n\
+                   \x20   std::time::Instant::now()\n\
                    }\n";
         assert!(lint_rust_source(&lib_path(), src).is_empty());
     }
 
     #[test]
-    fn r1_exempts_test_bench_example_and_bin_paths() {
-        let src = "fn main() { Some(1).unwrap(); }\n";
-        for p in [
-            "crates/demo/tests/t.rs",
-            "crates/demo/benches/b.rs",
-            "crates/demo/examples/e.rs",
-            "crates/demo/src/bin/tool.rs",
-            "crates/demo/src/main.rs",
-        ] {
-            assert!(
-                lint_rust_source(Path::new(p), src).is_empty(),
-                "{p} should be exempt from R1"
-            );
-        }
-    }
-
-    #[test]
-    fn r1_escape_hatch_with_justification_is_accepted() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n\
-                   \x20   // lint: allow(panic) — x is checked non-empty two lines up\n\
-                   \x20   x.unwrap()\n\
-                   }\n";
-        assert!(lint_rust_source(&lib_path(), src).is_empty());
-    }
-
-    #[test]
-    fn r1_escape_hatch_spanning_a_comment_block_is_accepted() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n\
-                   \x20   // lint: allow(panic) — the construction above\n\
-                   \x20   // guarantees the option is populated.\n\
-                   \x20   x.unwrap()\n\
-                   }\n";
-        assert!(lint_rust_source(&lib_path(), src).is_empty());
-    }
-
-    #[test]
-    fn r1_bare_escape_hatch_without_justification_is_flagged() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n\
-                   \x20   // lint: allow(panic)\n\
-                   \x20   x.unwrap()\n\
+    fn r8_bare_escape_hatch_without_justification_is_flagged() {
+        let src = "fn f() -> std::time::Instant {\n\
+                   \x20   // lint: allow(wall-clock)\n\
+                   \x20   std::time::Instant::now()\n\
                    }\n";
         let diags = lint_rust_source(&lib_path(), src);
         assert_eq!(rules_of(&diags), vec![Rule::BadAnnotation]);
+        assert_eq!(diags[0].line, 2);
     }
 
     // ---- R2 ----
@@ -1029,34 +784,6 @@ mod tests {
     fn r2_ignores_non_dependency_sections() {
         let toml = "[package]\nname = \"x\"\n\n[features]\nextra = []\n\n[lints]\nworkspace = true\n";
         assert!(lint_manifest(Path::new("crates/demo/Cargo.toml"), toml).is_empty());
-    }
-
-    // ---- R3 ----
-
-    #[test]
-    fn r3_flags_lossy_casts_only_in_hot_paths() {
-        let src = "fn f(x: f64, n: usize) -> usize {\n\
-                   \x20   let a = x as usize;\n\
-                   \x20   let b = n as f64;\n\
-                   \x20   a + b as usize\n\
-                   }\n";
-        let hot = lint_rust_source(Path::new("crates/linalg/src/solve.rs"), src);
-        assert_eq!(rules_of(&hot), vec![Rule::LossyCast, Rule::LossyCast]);
-        assert_eq!(hot[0].line, 2);
-        assert_eq!(hot[1].line, 4);
-        // The same code outside a hot path is untouched by R3.
-        let cold = lint_rust_source(Path::new("crates/qa/src/session.rs"), src);
-        assert!(cold.is_empty());
-    }
-
-    #[test]
-    fn r3_allows_widening_to_f64_and_honours_annotations() {
-        let src = "fn f(n: usize) -> f64 {\n\
-                   \x20   // lint: allow(lossy-cast) — index bounded by window length ≤ 2^32\n\
-                   \x20   let small = n as u32;\n\
-                   \x20   small as f64 + n as f64\n\
-                   }\n";
-        assert!(lint_rust_source(Path::new("crates/models/src/arima.rs"), src).is_empty());
     }
 
     // ---- R4 ----
@@ -1089,18 +816,6 @@ mod tests {
         assert!(lint_rust_source(&lib_path(), good).is_empty());
     }
 
-    // ---- R5 ----
-
-    #[test]
-    fn r5_flags_process_exit_outside_binaries() {
-        let src = "fn f() { std::process::exit(1); }\n";
-        let diags = lint_rust_source(&lib_path(), src);
-        assert_eq!(rules_of(&diags), vec![Rule::ProcessExit]);
-        // Binaries may exit.
-        assert!(lint_rust_source(Path::new("crates/demo/src/bin/tool.rs"), src).is_empty());
-        assert!(lint_rust_source(Path::new("crates/demo/src/main.rs"), src).is_empty());
-    }
-
     // ---- R6 ----
 
     #[test]
@@ -1111,14 +826,10 @@ mod tests {
                    \x20   xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or_else(|| Ordering::Equal));\n\
                    }\n";
         let diags = lint_rust_source(&lib_path(), src);
-        // The `.unwrap()` comparator legitimately trips both R1 and R6.
-        assert_eq!(
-            rules_of(&diags),
-            vec![Rule::NoPanic, Rule::FloatOrdering, Rule::FloatOrdering, Rule::FloatOrdering]
-        );
-        assert_eq!(diags[1].line, 2);
-        assert_eq!(diags[2].line, 3);
-        assert_eq!(diags[3].line, 4);
+        assert_eq!(rules_of(&diags), vec![Rule::FloatOrdering; 3]);
+        assert_eq!(diags[0].line, 2);
+        assert_eq!(diags[1].line, 3);
+        assert_eq!(diags[2].line, 4);
     }
 
     #[test]
@@ -1159,31 +870,6 @@ mod tests {
                    \x20   // a.partial_cmp(b).unwrap_or(Ordering::Equal)\n\
                    }\n";
         assert!(lint_rust_source(&lib_path(), src).is_empty());
-    }
-
-    // ---- R7 ----
-
-    #[test]
-    fn r7_flags_non_zero_float_equality_in_numeric_crates() {
-        let src = "fn f(x: f64) -> bool {\n\
-                   \x20   x == 1.5 || x != 2.0e3\n\
-                   }\n";
-        let diags = lint_rust_source(Path::new("crates/linalg/src/stats.rs"), src);
-        assert_eq!(rules_of(&diags), vec![Rule::FloatEq, Rule::FloatEq]);
-        // The same code outside linalg/models/eval is untouched.
-        assert!(lint_rust_source(Path::new("crates/qa/src/answer.rs"), src).is_empty());
-    }
-
-    #[test]
-    fn r7_accepts_zero_guards_and_annotated_sites() {
-        let src = "fn f(x: f64) -> bool {\n\
-                   \x20   let a = x == 0.0;\n\
-                   \x20   let b = x != 0.0 && x != -0.0;\n\
-                   \x20   // lint: allow(float-eq) — sentinel produced verbatim upstream\n\
-                   \x20   let c = x == 99.5;\n\
-                   \x20   a && b && c && x <= 1.5\n\
-                   }\n";
-        assert!(lint_rust_source(Path::new("crates/models/src/naive.rs"), src).is_empty());
     }
 
     // ---- R8 ----
@@ -1230,88 +916,54 @@ mod tests {
         assert_eq!(rules_of(&diags), vec![Rule::WallClock]);
     }
 
-    // ---- R9 ----
-
     #[test]
-    fn r9_flags_undocumented_pub_items() {
-        let src = "pub fn f() {}\n\
-                   pub struct S;\n\
-                   pub enum E { A }\n\
-                   pub const C: u32 = 1;\n";
-        let diags = lint_rust_source(&lib_path(), src);
-        assert_eq!(rules_of(&diags), vec![Rule::MissingDocs; 4]);
-        assert!(diags[0].message.contains("`f`"));
-        assert!(diags[1].message.contains("`S`"));
-    }
-
-    #[test]
-    fn r9_accepts_documented_restricted_and_annotated_items() {
-        let src = "/// Documented.\n\
-                   pub fn f() {}\n\
-                   /// Documented struct.\n\
-                   #[derive(Debug)]\n\
-                   pub struct S;\n\
-                   pub(crate) fn internal() {}\n\
-                   #[doc = \"generated docs\"]\n\
-                   pub struct G;\n\
-                   // lint: allow(missing-docs) — exported for the macro below only\n\
-                   pub struct M;\n\
-                   pub use std::cmp::Ordering;\n\
-                   fn private() {}\n";
-        assert!(lint_rust_source(&lib_path(), src).is_empty());
-    }
-
-    #[test]
-    fn r9_skips_struct_fields_and_test_items() {
-        let src = "/// Documented.\n\
-                   pub struct S {\n\
-                   \x20   pub x: u32,\n\
-                   \x20   pub y: u32,\n\
+    fn r8_skips_strings_comments_and_test_modules() {
+        let src = "fn f() {\n\
+                   \x20   let _s = \"contains Instant::now() and SystemTime\";\n\
+                   \x20   // a comment mentioning Instant::now() is fine\n\
+                   \x20   /* block with SystemTime::now() */\n\
                    }\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
-                   \x20   pub fn helper() {}\n\
+                   \x20   #[test]\n\
+                   \x20   fn t() { let _t = std::time::Instant::now(); }\n\
                    }\n";
         assert!(lint_rust_source(&lib_path(), src).is_empty());
     }
 
-    // ---- R10: severity, baseline, JSON ----
-
     #[test]
-    fn severity_overrides_apply_by_code() {
-        let mut diags = vec![
-            Diagnostic::new(&lib_path(), 1, Rule::MissingDocs, "m".into()),
-            Diagnostic::new(&lib_path(), 2, Rule::NoPanic, "p".into()),
-        ];
-        apply_severities(&mut diags, &[("R9".into(), Severity::Warn)]);
-        assert_eq!(diags[0].severity, Severity::Warn);
-        assert_eq!(diags[1].severity, Severity::Error);
-        assert_eq!(Severity::parse("warn"), Some(Severity::Warn));
-        assert_eq!(Severity::parse("ERROR"), Some(Severity::Error));
-        assert_eq!(Severity::parse("nope"), None);
+    fn r8_exempts_test_bench_example_and_bin_paths() {
+        let src = "fn main() { let _t = std::time::Instant::now(); }\n";
+        assert_eq!(rules_of(&lint_rust_source(&lib_path(), src)), vec![Rule::WallClock]);
+        for p in [
+            "crates/demo/tests/t.rs",
+            "crates/demo/benches/b.rs",
+            "crates/demo/examples/e.rs",
+            "crates/demo/src/bin/tool.rs",
+            "crates/demo/src/main.rs",
+        ] {
+            assert!(
+                lint_rust_source(Path::new(p), src).is_empty(),
+                "{p} should be exempt from R8"
+            );
+        }
     }
 
-    #[test]
-    fn baseline_suppresses_known_findings_once() {
-        let d1 = Diagnostic::new(&lib_path(), 3, Rule::NoPanic, "first".into());
-        let d2 = Diagnostic::new(&lib_path(), 9, Rule::NoPanic, "first".into());
-        let d3 = Diagnostic::new(&lib_path(), 5, Rule::FloatEq, "other".into());
-        let text = Baseline::render(&[d1.clone()]);
-        let baseline = Baseline::parse(&text);
-        let (kept, suppressed) = baseline.apply(vec![d1, d2, d3]);
-        // The single entry suppresses one of the two identical findings
-        // (line numbers are deliberately not part of the key).
-        assert_eq!(suppressed, 1);
-        assert_eq!(kept.len(), 2);
-    }
+    // ---- R13 ----
 
     #[test]
-    fn empty_baseline_keeps_everything() {
-        let baseline = Baseline::parse("# just comments\n\n");
-        let d = Diagnostic::new(&lib_path(), 1, Rule::NoPanic, "m".into());
-        let (kept, suppressed) = baseline.apply(vec![d]);
-        assert_eq!((kept.len(), suppressed), (1, 0));
+    fn r13_catches_multi_line_chains() {
+        let src = "fn f(a: &Matrix, b: &Matrix) -> Matrix {\n\
+                   \x20   a.transpose()\n\
+                   \x20       .matmul\n\
+                   \x20       (b)\n\
+                   }\n";
+        let diags = lint_rust_source(&lib_path(), src);
+        assert_eq!(rules_of(&diags), vec![Rule::MaterializedTranspose]);
+        assert_eq!(diags[0].line, 2);
     }
+
+    // ---- R10: JSON ----
 
     #[test]
     fn json_output_is_escaped_and_structured() {
@@ -1336,14 +988,13 @@ mod tests {
 
     #[test]
     fn classify_partitions_the_tree() {
-        assert!(classify(Path::new("crates/linalg/src/solve.rs")).is_hot_numeric);
-        assert!(classify(Path::new("crates/eval/src/metrics.rs")).is_hot_numeric);
-        assert!(!classify(Path::new("crates/eval/src/pipeline.rs")).is_hot_numeric);
-        assert!(classify(Path::new("crates/eval/src/pipeline.rs")).is_float_path);
-        assert!(!classify(Path::new("crates/qa/src/session.rs")).is_float_path);
-        assert!(classify(Path::new("crates/core/src/bin/easytime.rs")).is_bin);
-        assert!(classify(Path::new("crates/core/tests/integration.rs")).is_test_like);
         assert!(classify(Path::new("crates/db/src/parser.rs")).is_library);
+        assert!(classify(Path::new("crates/core/tests/integration.rs")).is_test_like);
+        assert!(classify(Path::new("crates/bench/benches/sql.rs")).is_test_like);
+        for bin in ["crates/core/src/bin/easytime.rs", "crates/lint/src/main.rs"] {
+            let class = classify(Path::new(bin));
+            assert!(!class.is_library && !class.is_test_like, "{bin}");
+        }
     }
 
     #[test]
@@ -1351,9 +1002,9 @@ mod tests {
         let d = Diagnostic::new(
             Path::new("crates/demo/src/lib.rs"),
             7,
-            Rule::NoPanic,
-            "`unwrap` in library code".into(),
+            Rule::WallClock,
+            "direct wall-clock read".into(),
         );
-        assert_eq!(format!("{d}"), "crates/demo/src/lib.rs:7: R1 `unwrap` in library code");
+        assert_eq!(format!("{d}"), "crates/demo/src/lib.rs:7: R8 direct wall-clock read");
     }
 }

@@ -271,7 +271,7 @@ pub fn check_locks(ws: &WorkspaceModel, graph: &LockGraph) -> Vec<Diagnostic> {
             .min()
             .cloned()
             .unwrap_or_else(|| ("<unknown>".to_string(), 1));
-        let names = component.iter().cloned().collect::<Vec<_>>().join(" -> ");
+        let names = component.join(" -> ");
         let mut d = Diagnostic::new(
             std::path::Path::new(&site.0),
             site.1,

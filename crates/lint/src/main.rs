@@ -1,27 +1,23 @@
 //! Workspace lint driver.
 //!
 //! ```text
-//! easytime-lint [--format text|json] [--baseline PATH] [--write-baseline PATH]
-//!               [--api-baseline PATH] [--write-api-baseline PATH]
-//!               [--semantic-out PATH] [--effects-out PATH]
-//!               [--severity CODE=LEVEL]... [--explain RULE] [--out PATH]
+//! easytime-lint [--format text|json] [--api-baseline PATH] [--write-api-baseline PATH]
+//!               [--semantic-out PATH] [--effects-out PATH] [--explain RULE] [--out PATH]
 //! ```
 //!
-//! Phase 1 (per-file rules R1–R13) always runs; phases 2 and 3 (the
+//! Phase 1 (per-file rules R2–R13) always runs; phases 2 and 3 (the
 //! workspace model with semantic rules R15–R17 — plus R14 when
 //! `--api-baseline` is given — and the effect rules R18–R20) run on the
 //! same path-sorted source set. `--semantic-out` writes the semantic size
 //! stats as JSON; `--effects-out` writes the closed per-function effect
-//! table. Exits non-zero iff any non-baselined diagnostic has `error`
-//! severity.
+//! table. Exits non-zero iff any diagnostic has `error` severity.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use easytime_lint::{
-    analyze_workspace, api, apply_severities, collect_workspace_sources, diagnostics_to_json,
-    lint_sources, model, rule_doc, semantic_stats_to_json, workspace_effect_table_json, Baseline,
-    Severity,
+    analyze_workspace, api, collect_workspace_sources, diagnostics_to_json, lint_sources, model,
+    rule_doc, semantic_stats_to_json, workspace_effect_table_json, Severity,
 };
 
 enum Format {
@@ -31,28 +27,22 @@ enum Format {
 
 struct Options {
     format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     api_baseline: Option<PathBuf>,
     write_api_baseline: Option<PathBuf>,
     semantic_out: Option<PathBuf>,
     effects_out: Option<PathBuf>,
     out: Option<PathBuf>,
-    severities: Vec<(String, Severity)>,
     explain: Option<String>,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         format: Format::Text,
-        baseline: None,
-        write_baseline: None,
         api_baseline: None,
         write_api_baseline: None,
         semantic_out: None,
         effects_out: None,
         out: None,
-        severities: Vec::new(),
         explain: None,
     };
     let mut args = std::env::args().skip(1);
@@ -68,10 +58,6 @@ fn parse_args() -> Result<Options, String> {
                     other => return Err(format!("unknown format `{other}` (want text|json)")),
                 };
             }
-            "--baseline" => opts.baseline = Some(value_for("--baseline", &mut args)?.into()),
-            "--write-baseline" => {
-                opts.write_baseline = Some(value_for("--write-baseline", &mut args)?.into());
-            }
             "--api-baseline" => {
                 opts.api_baseline = Some(value_for("--api-baseline", &mut args)?.into());
             }
@@ -86,23 +72,12 @@ fn parse_args() -> Result<Options, String> {
                 opts.effects_out = Some(value_for("--effects-out", &mut args)?.into());
             }
             "--out" => opts.out = Some(value_for("--out", &mut args)?.into()),
-            "--severity" => {
-                let spec = value_for("--severity", &mut args)?;
-                let (code, level) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--severity wants CODE=LEVEL, got `{spec}`"))?;
-                let sev = Severity::parse(level)
-                    .ok_or_else(|| format!("unknown severity `{level}` (want error|warn)"))?;
-                opts.severities.push((code.to_string(), sev));
-            }
             "--explain" => opts.explain = Some(value_for("--explain", &mut args)?),
             "--help" | "-h" => {
                 println!(
-                    "usage: easytime-lint [--format text|json] [--baseline PATH]\n\
-                     \x20                    [--write-baseline PATH] [--api-baseline PATH]\n\
+                    "usage: easytime-lint [--format text|json] [--api-baseline PATH]\n\
                      \x20                    [--write-api-baseline PATH] [--semantic-out PATH]\n\
-                     \x20                    [--effects-out PATH] [--severity CODE=LEVEL]...\n\
-                     \x20                    [--explain RULE] [--out PATH]"
+                     \x20                    [--effects-out PATH] [--explain RULE] [--out PATH]"
                 );
                 return Err(String::new());
             }
@@ -208,7 +183,6 @@ fn main() -> ExitCode {
             b.message.as_str(),
         ))
     });
-    apply_severities(&mut diags, &opts.severities);
 
     if let Some(path) = &opts.semantic_out {
         if let Err(e) = std::fs::write(path, semantic_stats_to_json(&stats)) {
@@ -222,35 +196,6 @@ fn main() -> ExitCode {
             eprintln!("easytime-lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
-    }
-
-    if let Some(path) = &opts.write_baseline {
-        let content = Baseline::render(&diags);
-        if let Err(e) = std::fs::write(path, content) {
-            eprintln!("easytime-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "easytime-lint: wrote baseline with {} entr{} to {}",
-            diags.len(),
-            if diags.len() == 1 { "y" } else { "ies" },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut suppressed = 0;
-    if let Some(path) = &opts.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("easytime-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let (kept, n) = Baseline::parse(&text).apply(diags);
-        diags = kept;
-        suppressed = n;
     }
 
     let rendered = match opts.format {
@@ -275,10 +220,7 @@ fn main() -> ExitCode {
 
     let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
     let warns = diags.len() - errors;
-    eprintln!(
-        "easytime-lint: checked {checked} files: {errors} error(s), {warns} warning(s), \
-         {suppressed} baselined"
-    );
+    eprintln!("easytime-lint: checked {checked} files: {errors} error(s), {warns} warning(s)");
     if errors > 0 {
         ExitCode::FAILURE
     } else {

@@ -947,7 +947,7 @@ fn receiver_ident(sf: &SourceFile<'_>, dot: usize) -> Option<String> {
             }
             continue;
         }
-        let Some(t) = sf.ct(p) else { return None };
+        let t = sf.ct(p)?;
         if t.kind == TokenKind::Ident {
             let name = norm_ident(t.text(sf.src));
             if name == "self" {

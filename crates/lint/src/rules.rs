@@ -1,4 +1,4 @@
-//! The token-level lint rules (R1, R3–R9, R11, R12, R13).
+//! The token-level lint rules (R4, R6, R8, R12, R13).
 //!
 //! Every rule here runs over a [`SourceFile`] token stream, so string
 //! literals and comments can never produce false positives, and
@@ -6,18 +6,11 @@
 //! allowlist) lints `Cargo.toml` manifests and lives in the crate root.
 
 use crate::engine::SourceFile;
-use crate::lexer::{float_value, num_is_float, TokenKind};
+use crate::lexer::TokenKind;
 use crate::{Diagnostic, FileClass, Rule};
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// Panicking macros flagged by R1.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-/// Panicking methods flagged by R1.
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-/// Narrowing cast targets flagged by R3 (`as f64` widening is fine).
-const LOSSY_TARGETS: [&str; 11] =
-    ["f32", "usize", "isize", "u64", "i64", "u32", "i32", "u16", "i16", "u8", "i8"];
 /// Order-revealing methods on hash containers flagged by R8.
 const HASH_ITER_METHODS: [&str; 7] =
     ["iter", "iter_mut", "into_iter", "keys", "values", "values_mut", "drain"];
@@ -25,10 +18,6 @@ const HASH_ITER_METHODS: [&str; 7] =
 /// including the `easytime-obs` span internals — goes through
 /// `easytime_clock::{Stopwatch, Clock}`.
 const CLOCK_DIR: &str = "crates/clock/src/";
-/// Console print macros flagged by R11 in library code.
-const PRINT_MACROS: [&str; 4] = ["println", "eprintln", "print", "eprint"];
-/// The observability crate is the sanctioned event/metrics sink (R11).
-const OBS_DIR: &str = "crates/obs/src/";
 /// Scrutinee identifiers that mark a `match` as refit-policy dispatch
 /// (R12): such matches must stay exhaustive so new `RefitPolicy` variants
 /// break the build instead of falling through a `_` arm.
@@ -76,76 +65,11 @@ pub(crate) fn lint_tokens(rel_path: &Path, class: FileClass, sf: &SourceFile<'_>
     for k in 0..n {
         let line = sf.ct(k).map_or(1, |t| t.line);
 
-        // ---- R1: no panicking constructs in library code. ----
-        if class.is_library && !in_test(k) {
-            for m in PANIC_MACROS {
-                if sf.is_ident(k, m) && sf.is_punct(k + 1, '!') {
-                    r.report(
-                        Rule::NoPanic,
-                        line,
-                        format!(
-                            "`{m}!` in library code; return the crate's typed error instead \
-                             (or annotate with `// lint: allow(panic) — <why>`)"
-                        ),
-                    );
-                }
-            }
-            for m in PANIC_METHODS {
-                if k > 0
-                    && sf.is_punct(k - 1, '.')
-                    && sf.is_ident(k, m)
-                    && sf.is_punct(k + 1, '(')
-                {
-                    r.report(
-                        Rule::NoPanic,
-                        line,
-                        format!(
-                            "`{m}` in library code; return the crate's typed error instead \
-                             (or annotate with `// lint: allow(panic) — <why>`)"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // ---- R3: lossy `as` casts in numeric hot paths. ----
-        if class.is_hot_numeric && !in_test(k) && sf.is_ident(k, "as") {
-            let target = sf.ctext(k + 1);
-            if sf.ct(k + 1).is_some_and(|t| t.kind == TokenKind::Ident)
-                && LOSSY_TARGETS.contains(&target)
-            {
-                let target = target.to_string();
-                r.report(
-                    Rule::LossyCast,
-                    line,
-                    format!(
-                        "potentially lossy `as {target}` cast in a numeric hot path; use a \
-                         checked conversion or annotate with `// lint: allow(lossy-cast) — <why>`"
-                    ),
-                );
-            }
-        }
-
         // ---- R4: public Result APIs must use typed errors. ----
         if class.is_library && !in_test(k) && sf.is_ident(k, "pub") {
             if let Some(msg) = boxed_error_fn(sf, k) {
                 r.report(Rule::TypedError, line, msg);
             }
-        }
-
-        // ---- R5: no process::exit outside binaries. ----
-        if !class.is_bin
-            && sf.is_ident(k, "process")
-            && sf.is_punct_seq(k + 1, "::")
-            && sf.is_ident(k + 3, "exit")
-        {
-            r.report(
-                Rule::ProcessExit,
-                line,
-                "`std::process::exit` outside `src/bin`; return an error and let the binary \
-                 decide the exit code"
-                    .into(),
-            );
         }
 
         // ---- R6: NaN-unsafe float ordering (applies everywhere — tests
@@ -161,23 +85,6 @@ pub(crate) fn lint_tokens(rel_path: &Path, class: FileClass, sf: &SourceFile<'_>
                          ordering when a value is NaN, making sorts panic-prone and rankings \
                          non-deterministic; use `f64::total_cmp` (or annotate with \
                          `// lint: allow(float-ordering) — <why>`)"
-                    ),
-                );
-            }
-        }
-
-        // ---- R7: float `==`/`!=` outside zero-guard idioms in the
-        // numeric crates. ----
-        if class.is_float_path && !in_test(k) {
-            if let Some(lit) = non_zero_float_eq(sf, k) {
-                r.report(
-                    Rule::FloatEq,
-                    line,
-                    format!(
-                        "float equality against `{lit}`: exact comparison with a non-zero float \
-                         is almost always a rounding bug; compare with a tolerance (zero guards \
-                         like `x == 0.0` are exempt, or annotate with \
-                         `// lint: allow(float-eq) — <why>`)"
                     ),
                 );
             }
@@ -215,38 +122,6 @@ pub(crate) fn lint_tokens(rel_path: &Path, class: FileClass, sf: &SourceFile<'_>
                          mockable (or annotate with `// lint: allow(wall-clock) — <why>`)"
                     ),
                 );
-            }
-        }
-
-        // ---- R9: exported items need `///` docs. ----
-        if class.is_library && !in_test(k) && sf.is_ident(k, "pub") {
-            if let Some((kind, name)) = undocumented_pub_item(sf, k) {
-                r.report(
-                    Rule::MissingDocs,
-                    line,
-                    format!(
-                        "exported {kind} `{name}` has no doc comment; add `///` documentation \
-                         (or annotate with `// lint: allow(missing-docs) — <why>`)"
-                    ),
-                );
-            }
-        }
-
-        // ---- R11: no console print macros in library code; structured
-        // events go through `easytime-obs` (which is itself exempt, as
-        // are binaries, tests, benches, and examples). ----
-        if class.is_library && !in_test(k) && !path_str.starts_with(OBS_DIR) {
-            for m in PRINT_MACROS {
-                if sf.is_ident(k, m) && sf.is_punct(k + 1, '!') {
-                    r.report(
-                        Rule::PrintMacro,
-                        line,
-                        format!(
-                            "`{m}!` in library code; emit an `easytime_obs` event (or move the \
-                             output to `src/bin`, or annotate with `// lint: allow(print) — <why>`)"
-                        ),
-                    );
-                }
             }
         }
 
@@ -299,12 +174,9 @@ fn transpose_product(sf: &SourceFile<'_>, k: usize) -> Option<&'static str> {
     if !sf.is_punct(close + 1, '.') {
         return None;
     }
-    for method in ["matmul", "matvec"] {
-        if sf.is_ident(close + 2, method) && sf.is_punct(close + 3, '(') {
-            return Some(method);
-        }
-    }
-    None
+    ["matmul", "matvec"]
+        .into_iter()
+        .find(|&method| sf.is_ident(close + 2, method) && sf.is_punct(close + 3, '('))
 }
 
 /// R12 helper: when the `match` at code index `k` scrutinizes a refit
@@ -452,46 +324,6 @@ fn nan_unsafe_ordering(sf: &SourceFile<'_>, k: usize) -> Option<&'static str> {
     None
 }
 
-/// R7 helper: when code index `k` starts a `==`/`!=` whose left or right
-/// operand is a non-zero float literal, returns that literal's text.
-fn non_zero_float_eq(sf: &SourceFile<'_>, k: usize) -> Option<String> {
-    if !(sf.is_punct_seq(k, "==") || sf.is_punct_seq(k, "!=")) {
-        return None;
-    }
-    // Reject `<=` / `>=` (their `=` would otherwise match at `k+1`).
-    if k > 0 && sf.ct(k).is_some_and(|t| t.kind == TokenKind::Punct) {
-        let prev = sf.ctext(k.wrapping_sub(1));
-        if matches!(prev, "<" | ">" | "=" | "!")
-            && sf.ct(k - 1).zip(sf.ct(k)).is_some_and(|(a, b)| a.end == b.start)
-        {
-            return None;
-        }
-    }
-    let float_lit = |idx: usize| -> Option<String> {
-        let t = sf.ct(idx)?;
-        if t.kind != TokenKind::NumLit {
-            return None;
-        }
-        let text = t.text(sf.src);
-        if !num_is_float(text) {
-            return None;
-        }
-        // Zero guards (`x == 0.0`) are the accepted idiom.
-        match float_value(text) {
-            Some(v) if v == 0.0 => None,
-            _ => Some(text.to_string()),
-        }
-    };
-    if k > 0 {
-        if let Some(lit) = float_lit(k - 1) {
-            return Some(lit);
-        }
-    }
-    // Right operand sits after both punct chars; tolerate a unary minus.
-    let rhs = if sf.is_punct(k + 2, '-') { k + 3 } else { k + 2 };
-    float_lit(rhs)
-}
-
 /// R8a helper, pass 1: names bound to `HashMap`/`HashSet` in this file —
 /// `let name: HashMap<..>`, `name: HashSet<..>` fields, and
 /// `let name = HashMap::new()` initialisers.
@@ -569,35 +401,4 @@ fn hash_iteration(
         }
     }
     None
-}
-
-/// R9 helper: when code index `k` (`pub`) heads an exported item that
-/// needs documentation and has none, returns `(item kind, name)`.
-fn undocumented_pub_item(sf: &SourceFile<'_>, k: usize) -> Option<(String, String)> {
-    // Restricted visibility (`pub(crate)` …) is not exported API.
-    if sf.is_punct(k + 1, '(') {
-        return None;
-    }
-    let mut j = k + 1;
-    while matches!(sf.ctext(j), "async" | "unsafe" | "extern")
-        || sf.ct(j).is_some_and(|t| t.kind == TokenKind::StrLit)
-    {
-        j += 1;
-    }
-    let (kind, name_at) = match sf.ctext(j) {
-        "const" if sf.is_ident(j + 1, "fn") => ("fn", j + 2),
-        kw @ ("fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" | "union") => {
-            (kw, j + 1)
-        }
-        // `pub use` / `pub mod` are documented at their definition site.
-        _ => return None,
-    };
-    // `static mut NAME` (unsafe, but still nameable).
-    let name_at = if sf.is_ident(name_at, "mut") { name_at + 1 } else { name_at };
-    let name = sf.ctext(name_at).to_string();
-    let raw = sf.raw_index(k)?;
-    if sf.has_doc_before(raw) {
-        return None;
-    }
-    Some((kind.to_string(), name))
 }

@@ -333,8 +333,12 @@ impl Arima {
         }
 
         // Stage 1: long AR to estimate innovations.
-        // lint: allow(lossy-cast) — ln(n).ceil() is a small non-negative
-        // integer-valued float, exactly representable as usize.
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "ln(n).ceil() is a small non-negative integer-valued float, exactly \
+                      representable as usize"
+        )]
         let long_p = ((n as f64).ln().ceil() as usize + p + q).min(n / 3).max(p + 1);
         let (li, lc, _) = fit_ar(work, long_p)?;
         let rev_lc = reversed(&lc);

@@ -112,7 +112,7 @@ impl GradientBoost {
                     let pred = if *f <= threshold { left } else { right };
                     sse += (r - pred) * (r - pred);
                 }
-                if best.as_ref().map_or(true, |(_, b)| sse < *b) {
+                if best.as_ref().is_none_or(|(_, b)| sse < *b) {
                     best = Some((Stump { lag, threshold, left, right }, sse));
                 }
             }

@@ -26,7 +26,12 @@
 //! "integrate your method plus a configuration file" workflow.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    clippy::float_cmp
+)]
 
 pub mod arima;
 pub mod boost;

@@ -242,9 +242,11 @@ impl Forecaster for NLinear {
         let mut hist = tail.to_vec();
         let mut out = Vec::with_capacity(horizon);
         for _ in 0..horizon {
-            // lint: allow(panic) — fit stores lookback ≥ 1 trailing
-            // observations and the loop below only appends, so the
-            // history can never be empty here.
+            #[expect(
+                clippy::expect_used,
+                reason = "fit stores lookback ≥ 1 trailing observations and the loop below \
+                          only appends, so the history can never be empty here"
+            )]
             let anchor = *hist.last().expect("history is never empty");
             // Anchor subtraction happens *before* the dot so the reduction
             // runs on small residuals, not raw levels (cancellation-safe).

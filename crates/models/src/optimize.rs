@@ -28,7 +28,7 @@ pub(crate) fn grid_search(
             point[d] = axes[d][i];
         }
         let val = objective(&point);
-        if val.is_finite() && best.as_ref().map_or(true, |(_, b)| val < *b) {
+        if val.is_finite() && best.as_ref().is_none_or(|(_, b)| val < *b) {
             best = Some((point.clone(), val));
         }
         // Odometer increment.
@@ -164,8 +164,11 @@ impl Adam {
         assert_eq!(params.len(), self.m.len(), "Adam: parameter dim mismatch");
         assert_eq!(grads.len(), self.m.len(), "Adam: gradient dim mismatch");
         self.t += 1;
-        // lint: allow(lossy-cast) — the step counter counts optimizer
-        // updates within one training run, far below i32::MAX.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the step counter counts optimizer updates within one training run, far \
+                      below i32::MAX"
+        )]
         let t = self.t as i32;
         let b1t = 1.0 - self.beta1.powi(t);
         let b2t = 1.0 - self.beta2.powi(t);

@@ -171,14 +171,17 @@ impl Forecaster for Holt {
         Ok(())
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "forecast horizons are tiny (hundreds at most), far below i32::MAX"
+    )]
     fn forecast(&self, horizon: usize) -> Result<Vec<f64>> {
         check_horizon(horizon)?;
         let st = self.fitted.ok_or(ModelError::NotFitted)?;
         let mut out = Vec::with_capacity(horizon);
         let mut damp_sum = 0.0;
         for h in 1..=horizon {
-            // lint: allow(lossy-cast) — forecast horizons are tiny
-            // (hundreds at most), far below i32::MAX.
             damp_sum += st.phi.powi(h as i32);
             out.push(st.level + damp_sum * st.trend);
         }

@@ -25,12 +25,12 @@
 //!   per-name [`Histogram::log2`] histogram, and [`Profile::from_trace`]
 //!   computes self-time attribution (total minus direct-child time),
 //!   collapsed flame stacks, p50/p90/p95/p99 upper-bound quantiles, and —
-//!   when a counting allocator reports through [`count_alloc`] with
+//!   when [`CountingAlloc`] reports through [`count_alloc`] with
 //!   `EASYTIME_PROF_ALLOC=1` — per-stage allocation counts. Rendered as
 //!   `results/PROFILE.json` + `results/profile.txt` by [`write_files`].
 //! * **Events** are structured log lines (level, target, message) that
-//!   replace ad-hoc `eprintln!` diagnostics; lint rule R11 bans the latter
-//!   in library code.
+//!   replace ad-hoc `eprintln!` diagnostics; `clippy::print_stderr` bans
+//!   the latter in library code.
 //! * **Determinism** (policy R8): all timestamps flow through
 //!   [`easytime_clock::Clock`], never a direct `Instant::now()`. Tests
 //!   install a [`easytime_clock::ManualClock`] via [`install_clock`] and get
@@ -56,6 +56,7 @@
 //! easytime_obs::set_enabled(false);
 //! ```
 
+mod alloc_count;
 mod event;
 mod json;
 mod metrics;
@@ -64,6 +65,7 @@ mod recorder;
 mod sink;
 mod span;
 
+pub use alloc_count::CountingAlloc;
 pub use event::{EventRecord, Level};
 pub use json::fnv1a_hex;
 pub use metrics::{Histogram, LOG2_BUCKETS};
@@ -100,15 +102,15 @@ pub fn prof_alloc_enabled() -> bool {
 
 /// Turns per-span allocation accounting on or off programmatically,
 /// overriding `EASYTIME_PROF_ALLOC`. Only meaningful in a binary that
-/// installs a counting global allocator reporting through
-/// [`count_alloc`] (see the `exp_profile` bench bin).
+/// installs [`CountingAlloc`] (or another global allocator reporting
+/// through [`count_alloc`]), like the `exp_profile` bench bin.
 pub fn set_prof_alloc(on: bool) {
     recorder::set_prof_alloc(on);
 }
 
 // lint: hot(global-allocator hook; off-path is one relaxed atomic load, on-path one thread-local Cell bump — never allocates and never touches the recorder singleton, pinned by obs/tests/no_alloc.rs)
 /// Reports one heap allocation of `bytes` to the profiling tally. Called
-/// by a counting `GlobalAlloc` wrapper; a no-op unless
+/// by [`CountingAlloc`]; a no-op unless
 /// [`prof_alloc_enabled`]. Safe to call from inside the allocator: it
 /// never allocates and never initializes the recorder.
 pub fn count_alloc(bytes: usize) {
@@ -161,14 +163,14 @@ pub fn observe(name: &str, value: f64) {
 /// `bounds` (ascending). The bounds passed on the histogram's first sample
 /// win; later calls with different bounds still record into the existing
 /// buckets.
-// lint: allow(dead-pub) — histogram entry point with caller-chosen bounds; the R11-sanctioned surface
+// lint: allow(dead-pub) — histogram entry point with caller-chosen bounds; part of the sanctioned output surface
 pub fn observe_with(name: &str, bounds: &[f64], value: f64) {
     recorder::observe(name, bounds, value);
 }
 
 /// Records a structured event at `level`, attached to the innermost open
 /// span on this thread.
-// lint: allow(dead-pub) — the structured-diagnostics entry point R11 routes library output through
+// lint: allow(dead-pub) — the structured-diagnostics entry point library output routes through
 pub fn event(level: Level, target: &str, message: &str) {
     recorder::event(level, target, message);
 }

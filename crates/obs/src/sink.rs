@@ -116,7 +116,7 @@ pub fn render_trace_jsonl(data: &TraceData) -> String {
         let next_event_seq = events.peek().map(|e| e.seq);
         match (next_span_seq, next_event_seq) {
             (None, None) => break,
-            (Some(ss), es) if es.map_or(true, |es| ss <= es) => {
+            (Some(ss), es) if es.is_none_or(|es| ss <= es) => {
                 if let Some(s) = spans.next() {
                     push_span_line(&mut out, s);
                 }

@@ -1,38 +1,11 @@
 //! Per-span allocation attribution under a counting global allocator.
 //!
 //! This is the enabled-path counterpart of `no_alloc.rs`: the same
-//! allocator wiring `exp_profile` uses, but with [`set_prof_alloc`] on, so
-//! span records must carry allocation deltas and the profile must
-//! attribute a child's allocations to the child, not the parent.
-//!
-//! The workspace denies `unsafe_code`, but a `GlobalAlloc` impl cannot be
-//! written without it; this test binary opts back in locally.
-#![allow(unsafe_code)]
+//! allocator `exp_profile` uses, but with [`set_prof_alloc`] on, so span
+//! records must carry allocation deltas and the profile must attribute a
+//! child's allocations to the child, not the parent.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        easytime_obs::count_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        easytime_obs::count_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        easytime_obs::count_alloc(layout.size());
-        System.alloc_zeroed(layout)
-    }
-}
+use easytime_obs::CountingAlloc;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;

@@ -1,44 +1,13 @@
 //! Proof that disabled tracing is free on the hot path.
 //!
-//! A counting global allocator wraps the system allocator; with
+//! [`easytime_obs::CountingAlloc`] wraps the system allocator; with
 //! `EASYTIME_TRACE` off, the exact per-window instrumentation pattern used
-//! by `eval::pipeline::run_windows` must perform zero allocations.
-//!
-//! The workspace denies `unsafe_code`, but a `GlobalAlloc` impl cannot be
-//! written without it; this test binary opts back in locally.
-#![allow(unsafe_code)]
+//! by `eval::pipeline::run_windows` must perform zero allocations. The
+//! allocator also drives the profiling hook exactly the way `exp_profile`
+//! does: with `EASYTIME_PROF_ALLOC` unset it must be one relaxed load and
+//! no work.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // Also exercise the profiling hook exactly the way exp_profile's
-        // allocator does: with EASYTIME_PROF_ALLOC unset it must be one
-        // relaxed load and no work.
-        easytime_obs::count_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
+use easytime_obs::CountingAlloc;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -64,7 +33,7 @@ fn disabled_tracing_does_not_allocate_on_the_per_window_hot_loop() {
         assert_eq!(sp.id(), None);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = CountingAlloc::allocations();
     for origin in 0..1_000_u64 {
         // The exact shape eval::pipeline stamps on every window.
         let mut wsp = easytime_obs::span("eval.window");
@@ -79,7 +48,7 @@ fn disabled_tracing_does_not_allocate_on_the_per_window_hot_loop() {
             easytime_obs::warn("eval.pipeline", "never formatted when disabled");
         }
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = CountingAlloc::allocations();
     assert_eq!(
         after - before,
         0,

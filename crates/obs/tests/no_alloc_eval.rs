@@ -1,7 +1,7 @@
 //! Proof that the warm-start rolling engine reaches an allocation-free
 //! steady state.
 //!
-//! A counting global allocator wraps the system allocator and a real
+//! [`easytime_obs::CountingAlloc`] wraps the system allocator and a real
 //! `evaluate` run under `RefitPolicy::WarmStart` is measured twice on the
 //! same series — once capped at 50 windows, once at 500. Everything that
 //! allocates is either per-*run* (record strings, window plan, score map)
@@ -9,42 +9,11 @@
 //! buffers grow to capacity; after that, each additional window must cost
 //! zero allocations. Equal counts for 50 vs 500 windows prove it: 450
 //! extra steady-state windows, not one extra allocation.
-//!
-//! The workspace denies `unsafe_code`, but a `GlobalAlloc` impl cannot be
-//! written without it; this test binary opts back in locally.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use easytime_data::{Frequency, TimeSeries};
 use easytime_eval::{EvalConfig, MetricRegistry, RefitPolicy, Strategy, ValidatedEvalConfig};
 use easytime_models::ModelSpec;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
+use easytime_obs::CountingAlloc;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -70,10 +39,10 @@ fn measured_run(
 ) -> u64 {
     let mut min = u64::MAX;
     for _ in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = CountingAlloc::allocations();
         let record = easytime_eval::evaluate("alloc", series, &ModelSpec::Naive, config, registry)
             .unwrap();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = CountingAlloc::allocations();
         assert!(record.is_ok(), "evaluation failed: {:?}", record.error);
         min = min.min(after - before);
     }

@@ -23,7 +23,6 @@
 //!   ("what about RMSE?").
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod answer;
 pub mod charts;

@@ -119,8 +119,11 @@ impl Embedder {
     }
 
     fn normalize(&self, raw: &mut [f64]) {
-        // lint: allow(panic) — normalize is private and only called after
-        // fit has populated the normalization table.
+        #[expect(
+            clippy::expect_used,
+            reason = "normalize is private and only called after fit has populated the \
+                      normalization table"
+        )]
         let norm = self.norm.as_ref().expect("embedder must be fitted");
         for (v, (mu, sigma)) in raw.iter_mut().zip(norm) {
             // Winsorize: a dimension that was near-constant on the corpus

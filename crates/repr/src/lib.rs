@@ -17,7 +17,6 @@
 //!   *offline pretraining corpus* (mirroring the paper's offline phase).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod encoder;
 pub mod features;

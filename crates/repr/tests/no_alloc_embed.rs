@@ -1,6 +1,6 @@
 //! Proof that steady-state embedding is allocation-free.
 //!
-//! A counting global allocator wraps the system allocator and a fitted
+//! [`easytime_obs::CountingAlloc`] wraps the system allocator and a fitted
 //! kernel-feature embedder (`use_stats: false` — the statistical features
 //! route through the corpus characteristic extractor, which allocates by
 //! design) embeds the same series repeatedly through
@@ -9,41 +9,10 @@
 //! 10·N embeddings must cost the *same* number of allocations (zero per
 //! additional series): the z-normalization buffer and the feature vector
 //! are reused, and the convolution kernel works entirely in registers.
-//!
-//! The workspace denies `unsafe_code`, but a `GlobalAlloc` impl cannot be
-//! written without it; this test binary opts back in locally.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use easytime_data::{Frequency, TimeSeries};
+use easytime_obs::CountingAlloc;
 use easytime_repr::{EmbedScratch, Embedder, EmbedderConfig};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -59,11 +28,11 @@ fn measured_embeds(embedder: &Embedder, series: &TimeSeries, n: usize) -> u64 {
     embedder.embed_into(series, &mut scratch, &mut out);
     let mut min = u64::MAX;
     for _ in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = CountingAlloc::allocations();
         for _ in 0..n {
             embedder.embed_into(series, &mut scratch, &mut out);
         }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = CountingAlloc::allocations();
         assert_eq!(out.len(), embedder.dim());
         assert!(out.iter().all(|v| v.is_finite()));
         min = min.min(after - before);

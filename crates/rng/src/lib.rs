@@ -19,7 +19,6 @@
 //! Box–Muller standard normal.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use std::ops::Range;
 
@@ -118,7 +117,8 @@ impl Xoshiro256pp {
     }
 
     /// Uniform `f64` in `[low, high)` (returns `low` when the interval is
-    /// empty or inverted).
+    /// empty or inverted, or when either bound is NaN).
+    #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "NaN bounds must take the early return")]
     pub fn gen_range_f64(&mut self, low: f64, high: f64) -> f64 {
         if !(high > low) {
             return low;
@@ -206,6 +206,15 @@ mod tests {
         // Degenerate ranges do not panic.
         assert_eq!(rng.gen_range(4..4), 4);
         assert_eq!(rng.gen_range(9..2), 9);
+    }
+
+    #[test]
+    fn gen_range_f64_returns_low_for_empty_inverted_and_nan_bounds() {
+        let mut rng = StdRng::seed_from_u64(11);
+        assert_eq!(rng.gen_range_f64(1.0, 1.0), 1.0);
+        assert_eq!(rng.gen_range_f64(2.0, 1.0), 2.0);
+        assert_eq!(rng.gen_range_f64(1.0, f64::NAN), 1.0);
+        assert!(rng.gen_range_f64(f64::NAN, 1.0).is_nan());
     }
 
     #[test]

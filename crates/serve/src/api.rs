@@ -58,6 +58,11 @@ impl Request {
 
 /// The typed result of a successfully served [`Request`].
 #[derive(Debug, Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "boxing the large variant would add an allocation per response and change the \
+              public field types"
+)]
 pub enum Response {
     /// Ranking + forecast for [`Request::RecommendAndForecast`].
     RecommendAndForecast {

@@ -530,7 +530,10 @@ fn process_batch(inner: &Inner, batch: Vec<Pending>) {
 /// The warm/cold forecast path for one request. `entry` is a validated
 /// cache hit (already removed from the cache); `ranking` is the batch
 /// recommendation for cold auto requests.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the unpacked request fields of one ForecastJob; a struct would only rename them"
+)]
 fn serve_forecast(
     inner: &Inner,
     series: &TimeSeries,
@@ -591,7 +594,10 @@ fn serve_forecast(
 
 /// Cold path: freeze the scaler on the full history, fit the chosen
 /// method in scaled space, forecast, inverse-transform, cache the model.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the unpacked request fields of one ForecastJob; a struct would only rename them"
+)]
 fn fit_and_respond(
     inner: &Inner,
     series: &TimeSeries,

@@ -34,7 +34,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod api;
 pub mod cache;

@@ -10,41 +10,37 @@ cargo build --release --all-targets
 echo "=== test ==="
 cargo test -q --release
 
-echo "=== lint ==="
-# Machine-readable report for CI artifacts; the committed baseline
-# (empty: the workspace lints clean) means any *new* violation fails the
-# build. Regenerate deliberately with:
-#   cargo run -p easytime-lint -- --write-baseline scripts/lint-baseline.txt
-mkdir -p results
-cargo run --release -q -p easytime-lint -- \
-  --format json \
-  --baseline scripts/lint-baseline.txt \
-  --out results/lint.json
-cat results/lint.json
+echo "=== clippy (compiler-enforced rules: R1, R3, R5, R7, R9, R11, R0) ==="
+# The lint table in the root Cargo.toml (plus the scoped `#![warn(..)]`
+# lines in linalg, models, and eval) carries the rules rustc and clippy
+# enforce. `--lib` checks library code only: bins, tests, examples, and
+# benches are exempt, exactly as the retired easytime-lint rules were.
+cargo clippy --workspace --lib -- -D warnings
 
-echo "=== semantic lint (workspace model: R14-R17, effects: R18-R20) ==="
-# The semantic pass gates the public-API snapshot (R14), crate layering
-# (R15), lock discipline (R16), dead exports (R17), and the effect rules
-# (R18 hot-path-alloc, R19 swallowed-result, R20 lock-while-heavy). The
+echo "=== lint (token rules, workspace model: R14-R17, effects: R18-R20) ==="
+# One run reports every easytime-lint rule: the per-file token rules and
+# the semantic pass, which gates the public-API snapshot (R14), crate
+# layering (R15), lock discipline (R16), dead exports (R17), and the effect
+# rules (R18 hot-path-alloc, R19 swallowed-result, R20 lock-while-heavy). The
 # committed API baseline is the reviewed pub surface; regenerate
 # deliberately with:
 #   cargo run -p easytime-lint -- --write-api-baseline scripts/api-baseline.txt
 #
 # Self-check: the committed baseline must be canonically ordered
 # (byte-sorted, duplicate-free) so diffs stay reviewable.
+mkdir -p results
 grep -v '^#' scripts/api-baseline.txt | LC_ALL=C sort -c -u
 cargo run --release -q -p easytime-lint -- \
   --format json \
-  --baseline scripts/lint-baseline.txt \
   --api-baseline scripts/api-baseline.txt \
   --semantic-out results/lint_semantic.json \
   --effects-out results/lint_effects.json \
   --out results/lint_full.json
+cat results/lint_full.json
 # Determinism: a second run must produce byte-identical semantic stats
 # and a byte-identical effect table.
 cargo run --release -q -p easytime-lint -- \
   --format json \
-  --baseline scripts/lint-baseline.txt \
   --api-baseline scripts/api-baseline.txt \
   --semantic-out results/lint_semantic.2.json \
   --effects-out results/lint_effects.2.json \
