@@ -5,6 +5,9 @@
 //! property tests use as oracles) at the shapes the forecasting hot paths
 //! actually hit: ridge-fit design matrices (~480×25), ROCKET dilated
 //! convolutions, and a full rolling corpus sweep for end-to-end windows/sec.
+//! The `gboost` row times a boosted-stump fit through the per-fit split
+//! tables against `GradientBoost::fit_reference`, the per-round search
+//! oracle, and fails unless both give bit-identical forecasts.
 //!
 //! Writes `results/BENCH_kernels.json` and exits nonzero if any blocked
 //! kernel is *slower* than its naive reference, so CI locks the
@@ -19,7 +22,8 @@ use easytime_bench::print_table;
 use easytime_data::synthetic::build_corpus;
 use easytime_eval::{evaluate_corpus, EvalConfig, MetricRegistry, Strategy};
 use easytime_linalg::kernels;
-use easytime_models::ModelSpec;
+use easytime_models::boost::GradientBoost;
+use easytime_models::{Forecaster, ModelSpec};
 use easytime_repr::{EmbedScratch, Embedder, EmbedderConfig};
 use std::hint::black_box;
 use std::time::Instant;
@@ -191,6 +195,35 @@ fn main() {
             black_box(kernels::conv_ppv_max(black_box(&z), black_box(&w), 0.2, 3));
         });
         micros.push(Micro { name: "conv_ppv_max", shape: "512 d3 w9".into(), naive_s, blocked_s });
+    }
+
+    // Boosted stumps: per-fit split tables against the per-round search
+    // oracle, at the zoo's `gboost_12` shape. Appended last so the earlier
+    // rows keep their `kernels.kernels.<i>` indices.
+    {
+        let ts = easytime_data::TimeSeries::new(
+            "gboost",
+            series(280, 0.4),
+            easytime_data::Frequency::Daily,
+        )
+        .expect("series is valid");
+        let mut fast_model = GradientBoost::new(12, 60, 0.2).expect("valid boost params");
+        let mut oracle = fast_model.clone();
+        let reps = 20 * scale;
+        let naive_s = time_best(reps, || {
+            oracle.fit_reference(black_box(&ts)).expect("oracle fit");
+        });
+        let blocked_s = time_best(reps, || {
+            fast_model.fit(black_box(&ts)).expect("table fit");
+        });
+        let bits = |m: &GradientBoost| -> Vec<u64> {
+            m.forecast(12).expect("fitted").iter().map(|v| v.to_bits()).collect()
+        };
+        if bits(&fast_model) != bits(&oracle) {
+            eprintln!("FAIL: gboost fit and fit_reference forecasts differ");
+            std::process::exit(1);
+        }
+        micros.push(Micro { name: "gboost", shape: "280 lb12 r60".into(), naive_s, blocked_s });
     }
 
     let rows_out: Vec<Vec<String>> = micros

@@ -44,6 +44,8 @@ pub fn experiment_corpus(per_domain: usize, length: usize, seed: u64) -> Vec<Dat
 
 /// The fast sub-zoo used where full-zoo runtime would obscure the result
 /// shape (the full roster stays the default for the leaderboard run).
+/// Every spec is the roster spec of its name: names key the model cache,
+/// the knowledge base and every label, so two specs must never share one.
 pub fn fast_zoo() -> Vec<ModelSpec> {
     vec![
         ModelSpec::Naive,
@@ -57,7 +59,7 @@ pub fn fast_zoo() -> Vec<ModelSpec> {
         ModelSpec::Theta(None),
         ModelSpec::LagRidge { lookback: 16, lambda: 1e-2 },
         ModelSpec::NLinear { lookback: 32 },
-        ModelSpec::GradientBoost { lookback: 12, rounds: 40 },
+        ModelSpec::GradientBoost { lookback: 12, rounds: 60 },
     ]
 }
 
@@ -157,6 +159,14 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fast_zoo_specs_round_trip_through_their_names() {
+        for spec in fast_zoo() {
+            let name = spec.name();
+            assert_eq!(ModelSpec::parse(&name), Ok(spec), "{name}");
+        }
+    }
 
     #[test]
     fn ndcg_perfect_ranking_is_one() {

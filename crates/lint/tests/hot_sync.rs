@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The exact set of `(crate, fn)` keys that must carry a hot annotation.
-const EXPECTED_HOT: [(&str, &str); 26] = [
+const EXPECTED_HOT: [(&str, &str); 27] = [
     ("easytime-db", "cmp_values"),
     ("easytime-db", "collect_range"),
     ("easytime-db", "probe_into"),
@@ -34,6 +34,7 @@ const EXPECTED_HOT: [(&str, &str); 26] = [
     ("easytime-linalg", "sum"),
     ("easytime-linalg", "tr_matmul"),
     ("easytime-linalg", "tr_matvec"),
+    ("easytime-models", "best_stump"),
     ("easytime-obs", "add"),
     ("easytime-obs", "add_labeled"),
     ("easytime-obs", "attr"),
@@ -49,7 +50,7 @@ const EXPECTED_HOT: [(&str, &str); 26] = [
 ];
 
 /// The counting-allocator tests and the entry points each one drives.
-const SYNC: [(&str, &[&str]); 4] = [
+const SYNC: [(&str, &[&str]); 5] = [
     (
         "crates/obs/tests/no_alloc.rs",
         &[
@@ -68,6 +69,7 @@ const SYNC: [(&str, &[&str]); 4] = [
     ("crates/obs/tests/no_alloc_eval.rs", &["evaluate"]),
     ("crates/repr/tests/no_alloc_embed.rs", &["embed_into"]),
     ("crates/db/tests/no_alloc_seek.rs", &["probe_into", "collect_range"]),
+    ("crates/models/tests/no_alloc_boost.rs", &["best_stump"]),
 ];
 
 fn workspace_root() -> PathBuf {

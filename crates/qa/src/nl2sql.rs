@@ -65,8 +65,9 @@ fn contains_phrase(tokens: &[String], phrase: &[&str]) -> bool {
 /// normalized token form, so "Holt Winters" matches `holt_winters` and
 /// "DLinear" matches `dlinear_32` (prefix before the parameter suffix).
 /// Longer names claim their tokens first, so "seasonal naive" does not
-/// also register a spurious "naive" mention.
-fn find_methods(tokens: &[String], lexicon: &Lexicon) -> Vec<String> {
+/// also register a spurious "naive" mention. Returns the mentions in
+/// question order and the mask of tokens they claimed.
+fn find_methods(tokens: &[String], lexicon: &Lexicon) -> (Vec<String>, Vec<bool>) {
     // (method, its match tokens), longest phrase first.
     let mut candidates: Vec<(String, Vec<String>)> = lexicon
         .methods
@@ -102,7 +103,7 @@ fn find_methods(tokens: &[String], lexicon: &Lexicon) -> Vec<String> {
     }
     // Report mentions in question order.
     found.sort_by_key(|(pos, _)| *pos);
-    found.into_iter().map(|(_, m)| m).collect()
+    (found.into_iter().map(|(_, m)| m).collect(), consumed)
 }
 
 /// Parses a question into an intent plus the explicit-slot mask.
@@ -213,26 +214,32 @@ pub fn parse_question(
     }
 
     // --- characteristics ---
+    // Method names claim their tokens first, so the "seasonal" of
+    // `seasonal_naive` or the "trend" of `linear_trend` sets no filter.
+    let (mentioned, claimed) = find_methods(&tokens, lexicon);
     let mut chars = Vec::new();
     let has = |stems: &[&str]| tokens.iter().any(|t| stems.iter().any(|s| t.starts_with(s)));
-    if has(&["trend"]) {
+    let has_free = |stems: &[&str]| {
+        tokens.iter().zip(&claimed).any(|(t, &c)| !c && stems.iter().any(|s| t.starts_with(s)))
+    };
+    if has_free(&["trend"]) {
         chars.push(CharacteristicFilter { column: "trend".into(), strong: true });
     }
-    if has(&["seasonal"]) {
+    if has_free(&["seasonal"]) {
         chars.push(CharacteristicFilter { column: "seasonality".into(), strong: true });
     }
-    if contains_phrase(&tokens, &["non", "stationary"]) || has(&["nonstationary"]) {
+    if contains_phrase(&tokens, &["non", "stationary"]) || has_free(&["nonstationary"]) {
         chars.push(CharacteristicFilter { column: "stationarity".into(), strong: false });
-    } else if has(&["stationar"]) {
+    } else if has_free(&["stationar"]) {
         chars.push(CharacteristicFilter { column: "stationarity".into(), strong: true });
     }
-    if has(&["shift"]) {
+    if has_free(&["shift"]) {
         chars.push(CharacteristicFilter { column: "shifting".into(), strong: true });
     }
-    if has(&["transition", "regime"]) {
+    if has_free(&["transition", "regime"]) {
         chars.push(CharacteristicFilter { column: "transition".into(), strong: true });
     }
-    if has(&["correlat"]) {
+    if has_free(&["correlat"]) {
         chars.push(CharacteristicFilter { column: "correlation".into(), strong: true });
     }
     if !chars.is_empty() {
@@ -272,7 +279,6 @@ pub fn parse_question(
     }
 
     // --- intent kind ---
-    let mentioned = find_methods(&tokens, lexicon);
     let counting = tokens.iter().any(|t| t == "many" || t == "count");
     if counting && has(&["dataset", "series"]) {
         intent.kind = IntentKind::CountDatasets;

@@ -145,3 +145,45 @@ fn parsed_questions_yield_executable_sql() {
         assert!(db.query(&generate_sql(&intent)).is_ok());
     }
 }
+
+/// Method names never set characteristic filters. In "compare seasonal
+/// naive and drift by smape on web data" the tokens of `seasonal_naive`
+/// (and likewise `seasonal_avg`, `linear_trend`) belong to the method, so
+/// no seasonality or trend filter appears; the same stems outside a method
+/// name ("seasonal data", "strong trend") still filter.
+#[test]
+fn method_names_set_no_characteristic_filter() {
+    const METHODS: [(&str, &str); 5] = [
+        ("seasonal naive", "seasonal_naive"),
+        ("seasonal avg", "seasonal_avg"),
+        ("linear trend", "linear_trend"),
+        ("drift", "drift"),
+        ("theta", "theta"),
+    ];
+    const METRICS: [&str; 4] = ["mae", "rmse", "smape", "mase"];
+    const DATA: [(&str, Option<&str>); 3] =
+        [("web", None), ("seasonal", Some("seasonality")), ("strong trend", Some("trend"))];
+    let lexicon = Lexicon {
+        methods: METHODS.iter().map(|(_, m)| m.to_string()).chain(["naive".into()]).collect(),
+        domains: vec!["web".into(), "traffic".into()],
+    };
+    for mut rng in cases() {
+        let a = rng.gen_range(0..METHODS.len());
+        let b = (a + rng.gen_range(1..METHODS.len())) % METHODS.len();
+        let metric = METRICS[rng.gen_range(0..METRICS.len())];
+        let (data, filter) = DATA[rng.gen_range(0..DATA.len())];
+        let question =
+            format!("compare {} and {} by {metric} on {data} data", METHODS[a].0, METHODS[b].0);
+        let (intent, _) = parse_question(&question, &lexicon).unwrap();
+        assert_eq!(
+            intent.kind,
+            IntentKind::CompareMethods { a: METHODS[a].1.into(), b: METHODS[b].1.into() },
+            "{question}"
+        );
+        let want: Vec<CharacteristicFilter> = filter
+            .map(|column| CharacteristicFilter { column: column.into(), strong: true })
+            .into_iter()
+            .collect();
+        assert_eq!(intent.characteristics, want, "{question}");
+    }
+}
