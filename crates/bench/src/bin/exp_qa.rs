@@ -6,10 +6,16 @@
 //! * parse rate (questions mapped to an intent),
 //! * SQL validity (every generated statement passes verification and
 //!   executes — the paper's two-step retrieval guarantee),
-//! * execution accuracy (result rows match a hand-written ground-truth
-//!   SQL query),
+//! * planner correctness (each answer's rows equal, float bits included,
+//!   the scan oracle's rows for the generated SQL),
+//! * execution accuracy (each answer's rows equal, bit for bit, the scan
+//!   oracle's rows for a hand-written ground-truth SQL query),
 //! * rejection correctness on out-of-scope questions, and
 //! * end-to-end latency.
+//!
+//! It is a gate: the exit code is 1 when an in-scope question fails, an
+//! answer differs from either scan, or an out-of-scope question gets an
+//! answer.
 //!
 //! ```sh
 //! cargo run --release -p easytime-bench --bin exp_qa [--per-domain 3]
@@ -17,6 +23,8 @@
 
 use easytime::{CorpusConfig, EasyTime};
 use easytime_bench::{arg_usize, print_table};
+use easytime_db::Value;
+use std::fmt::Write;
 use std::time::Instant;
 
 /// A suite entry: the NL question and a ground-truth SQL query whose
@@ -211,6 +219,23 @@ fn suite() -> Vec<Case> {
     ]
 }
 
+/// Result rows rendered with exact float bits, so NaN == NaN and
+/// -0.0 != 0.0: a bit-for-bit comparison key.
+fn canon(rows: &[Vec<Value>]) -> String {
+    let mut s = String::new();
+    for row in rows {
+        for v in row {
+            match v {
+                Value::Float(f) => write!(s, "F{:016x};", f.to_bits()),
+                other => write!(s, "{other:?};"),
+            }
+            .expect("writing to a String cannot fail");
+        }
+        s.push('\n');
+    }
+    s
+}
+
 /// Out-of-scope questions the module must *reject* rather than answer
 /// arbitrarily.
 const OUT_OF_SCOPE: &[&str] =
@@ -247,6 +272,7 @@ fn main() {
 
     let mut parsed = 0usize;
     let mut sql_ok = 0usize;
+    let mut scan_equal = 0usize;
     let mut accurate = 0usize;
     let mut with_truth = 0usize;
     let mut latencies: Vec<f64> = Vec::new();
@@ -261,27 +287,30 @@ fn main() {
                 parsed += 1;
                 sql_ok += 1; // query() verified + executed successfully
                 latencies.push(started.elapsed().as_secs_f64() * 1e3);
+                // Compare row content, not column names.
+                let got = canon(&resp.table.rows);
+                let scanned = knowledge.query_scan(&resp.sql).expect("generated SQL scans");
+                if got == canon(&scanned.rows) {
+                    scan_equal += 1;
+                } else {
+                    failures.push((
+                        case.question.to_string(),
+                        format!("planned rows differ from the scan of {}", resp.sql),
+                    ));
+                }
                 if let Some(truth) = case.truth_sql {
                     with_truth += 1;
-                    let expected = knowledge.query(truth).expect("ground-truth SQL is valid");
-                    // Compare the (label, value) content, not column names.
-                    let got: Vec<Vec<String>> = resp
-                        .table
-                        .rows
-                        .iter()
-                        .map(|r| r.iter().map(|v| v.to_string()).collect())
-                        .collect();
-                    let want: Vec<Vec<String>> = expected
-                        .rows
-                        .iter()
-                        .map(|r| r.iter().map(|v| v.to_string()).collect())
-                        .collect();
-                    if got == want {
+                    let expected = knowledge.query_scan(truth).expect("ground-truth SQL scans");
+                    if got == canon(&expected.rows) {
                         accurate += 1;
                     } else {
                         failures.push((
                             case.question.to_string(),
-                            format!("rows {} vs expected {}", got.len(), want.len()),
+                            format!(
+                                "rows {} differ from the scanned ground truth's {}",
+                                resp.table.rows.len(),
+                                expected.rows.len()
+                            ),
                         ));
                     }
                 }
@@ -293,8 +322,9 @@ fn main() {
     let mut rejected = 0usize;
     for q in OUT_OF_SCOPE {
         let mut session = platform.qa_session().expect("session");
-        if session.ask(q).is_err() {
-            rejected += 1;
+        match session.ask(q) {
+            Err(_) => rejected += 1,
+            Ok(resp) => failures.push((q.to_string(), format!("answered with {}", resp.sql))),
         }
     }
 
@@ -305,16 +335,18 @@ fn main() {
         &[
             vec!["questions parsed".into(), format!("{parsed}/{}", cases.len())],
             vec!["generated SQL verified & executed".into(), format!("{sql_ok}/{parsed}")],
-            vec!["answers matching ground truth".into(), format!("{accurate}/{with_truth}")],
+            vec!["answers bit-equal to the scan".into(), format!("{scan_equal}/{parsed}")],
+            vec!["answers bit-equal to scanned ground truth".into(), format!("{accurate}/{with_truth}")],
             vec!["out-of-scope correctly rejected".into(), format!("{rejected}/{}", OUT_OF_SCOPE.len())],
             vec!["mean end-to-end latency".into(), format!("{mean_latency:.2} ms")],
         ],
     );
-    if !failures.is_empty() {
-        println!("\nfailures:");
-        for (q, why) in &failures {
-            println!("  - {q}\n    {why}");
-        }
-    }
     println!("\nPaper claim shape: 100% of generated SQL passes verification; answers match the knowledge base.");
+    if !failures.is_empty() {
+        eprintln!("\nFAIL: {} Q&A check(s) failed:", failures.len());
+        for (q, why) in &failures {
+            eprintln!("  - {q}\n    {why}");
+        }
+        std::process::exit(1);
+    }
 }

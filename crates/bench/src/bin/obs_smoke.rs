@@ -31,8 +31,8 @@ const EXPECTED_STAGES: [&str; 7] = [
 const EXPECTED_DB_COUNTERS: [&str; 3] = ["db.index_seeks", "db.rows_scanned", "db.rows_pruned"];
 
 /// Builds a small benchmark knowledge base and runs one planned query whose
-/// shape exercises an index seek, a pushed-down filter, and an index-probe
-/// join — so the `db.*` spans and counters CI asserts on are all live.
+/// shape exercises an index seek, a pushed-down filter, and a join — so the
+/// `db.*` spans and counters CI asserts on are all live.
 fn knowledge_segment() -> Result<(), String> {
     use easytime_db::knowledge::{
         create_knowledge_schema, insert_dataset, insert_method, insert_result, DatasetRow,
@@ -68,13 +68,16 @@ fn knowledge_segment() -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
     }
-    for (d, m, h, mae) in [
+    // Four copies of five results: `horizon >= 90` matches three rows in
+    // five, and over five rows alone a sequential scan is the cheaper plan.
+    let results = [
         ("web_01", "naive", 24, 3.0),
         ("web_01", "theta", 24, 2.0),
         ("web_01", "theta", 96, 4.0),
         ("eco_01", "naive", 96, 1.0),
         ("eco_01", "theta", 96, 1.5),
-    ] {
+    ];
+    for (d, m, h, mae) in results.into_iter().cycle().take(4 * results.len()) {
         insert_result(
             &mut db,
             &ResultRow {

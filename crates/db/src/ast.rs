@@ -38,6 +38,19 @@ pub struct SelectStmt {
     pub limit: Option<usize>,
 }
 
+impl SelectStmt {
+    /// True when the statement runs in aggregate mode: it has a `GROUP BY`,
+    /// or a projection or `HAVING` contains an aggregate.
+    pub(crate) fn is_aggregate(&self) -> bool {
+        !self.group_by.is_empty()
+            || self.having.as_ref().is_some_and(Expr::contains_aggregate)
+            || self.items.iter().any(|i| match i {
+                SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
+                SelectItem::Wildcard => false,
+            })
+    }
+}
+
 /// One projection item.
 #[derive(Debug, Clone, PartialEq)]
 // lint: allow(dead-pub) — reachable through a pub field of an exported type, which R17's item-signature scan does not cover

@@ -1,112 +1,166 @@
 //! `SELECT` execution.
 //!
-//! Two entry points share one finishing pipeline:
+//! Two executors share name resolution and one finishing tail:
 //!
 //! * [`execute_select`] — the naive scan oracle: FROM/JOIN as materialized
-//!   nested-loop inner joins, then the shared finisher. Kept verbatim in
-//!   spirit so every plan stays verifiable against it.
-//! * [`execute_planned`] — the volcano path: a [`crate::iter::RowSource`]
-//!   chain (seq-scan or index seek, pushed-down filters, index-probe or
-//!   nested-loop joins) built from a [`crate::plan::SelectPlan`], pulling
-//!   rows on demand so `LIMIT`/point queries stop paying full-table costs.
+//!   nested-loop inner joins, then [`run_select`], which tree-walks
+//!   [`eval`] over every row and every group. Kept verbatim in spirit so
+//!   every plan stays verifiable against it.
+//! * [`execute_planned`] — runs the statement compiled at plan time
+//!   ([`crate::compiled`]) along the plan's access path and join
+//!   strategies. A statement whose evaluation could raise an error has no
+//!   compiled form and runs on the oracle instead, so both executors return
+//!   the same `Err` by construction.
 //!
-//! The finisher ([`run_select`]) applies WHERE → GROUP BY + aggregates →
-//! HAVING → projection → DISTINCT → ORDER BY → LIMIT. Grouping and
+//! Both end in [`finish`]: DISTINCT → ORDER BY → LIMIT. Grouping and
 //! DISTINCT key on typed [`IndexKey`] tuples (ordered by
 //! `Value::order_key`), not stringified rows — no per-row key `String`
 //! allocations, and the same R8 total-order policy everywhere.
 
 use crate::ast::{Aggregate, BinOp, Expr, SelectItem, SelectStmt};
-use crate::database::{Database, QueryResult};
+use crate::database::{Database, QueryResult, Table};
 use crate::error::DbError;
 use crate::index::IndexKey;
-use crate::iter::{
-    ExecStats, FilterSource, IdListSource, NestedJoinSource, ProbeJoinSource, RowSource,
-    ScanSource,
-};
-use crate::plan::{Access, JoinStep, SelectPlan};
+use crate::plan::SelectPlan;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Resolves column references against the joined table layout.
+/// The tables a `SELECT` joins, in join order, as its column references
+/// see them.
 #[derive(Debug, Clone)]
-pub(crate) struct Layout {
-    /// `(effective table name, column names, offset)` per joined table.
-    pub(crate) tables: Vec<(String, Vec<String>, usize)>,
-    pub(crate) width: usize,
+pub(crate) struct Layout<'d> {
+    /// `(effective name, table)` per joined table.
+    pub(crate) tables: Vec<(&'d str, &'d Table)>,
 }
 
-impl Layout {
-    pub(crate) fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize, DbError> {
+impl<'d> Layout<'d> {
+    /// The layout of every table `stmt` reads, driver first.
+    pub(crate) fn of(db: &'d Database, stmt: &'d SelectStmt) -> Result<Layout<'d>, DbError> {
+        let mut tables = Vec::with_capacity(stmt.joins.len() + 1);
+        for r in std::iter::once(&stmt.from).chain(stmt.joins.iter().map(|j| &j.table)) {
+            tables.push((r.effective_name(), db.table(&r.name)?));
+        }
+        Ok(Layout { tables })
+    }
+
+    /// The first `n` tables: the scope of the `ON` clause that joins table
+    /// `n - 1`, exactly the tables the naive incremental build has seen.
+    pub(crate) fn prefix(&self, n: usize) -> Layout<'d> {
+        Layout { tables: self.tables[..n].to_vec() }
+    }
+
+    /// Resolves a column reference to `(table, column)` positions.
+    pub(crate) fn slot(&self, table: Option<&str>, name: &str) -> Result<(usize, usize), DbError> {
         let name = name.to_ascii_lowercase();
+        let column = |tab: &Table| tab.schema.columns().iter().position(|c| c.name == name);
         match table {
             Some(t) => {
                 let t = t.to_ascii_lowercase();
-                for (tname, cols, offset) in &self.tables {
-                    if *tname == t {
-                        if let Some(i) = cols.iter().position(|c| *c == name) {
-                            return Ok(offset + i);
-                        }
-                        return Err(DbError::UnknownColumn { name: format!("{t}.{name}") });
+                for (i, (eff, tab)) in self.tables.iter().enumerate() {
+                    if eff.eq_ignore_ascii_case(&t) {
+                        return column(tab).map(|c| (i, c)).ok_or_else(|| {
+                            DbError::UnknownColumn { name: format!("{t}.{name}") }
+                        });
                     }
                 }
                 Err(DbError::UnknownTable { name: t })
             }
             None => {
                 let mut found = None;
-                for (tname, cols, offset) in &self.tables {
-                    if let Some(i) = cols.iter().position(|c| *c == name) {
+                for (i, (eff, tab)) in self.tables.iter().enumerate() {
+                    if let Some(c) = column(tab) {
                         if found.is_some() {
+                            let tname = eff.to_ascii_lowercase();
                             return Err(DbError::Eval {
                                 message: format!(
                                     "ambiguous column '{name}' (qualify with a table name, e.g. {tname}.{name})"
                                 ),
                             });
                         }
-                        found = Some(offset + i);
+                        found = Some((i, c));
                     }
                 }
                 found.ok_or(DbError::UnknownColumn { name })
             }
         }
     }
+
+    /// Resolves a column reference to its offset in a joined row: the
+    /// tables' rows concatenated in join order.
+    fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize, DbError> {
+        let (t, c) = self.slot(table, name)?;
+        Ok(self.tables[..t].iter().map(|(_, tab)| tab.schema.len()).sum::<usize>() + c)
+    }
 }
 
-/// SQL LIKE matching with `%` and `_` wildcards (case-insensitive, the
-/// friendlier choice for natural-language-generated SQL).
+/// SQL LIKE matching with `%` and `_` wildcards (ASCII case-insensitive,
+/// the friendlier choice for natural-language-generated SQL). Greedy, with
+/// backtracking to the last `%`; allocation-free, because compiled filters
+/// run it once per row.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.to_ascii_lowercase().chars().collect();
-    let t: Vec<char> = text.to_ascii_lowercase().chars().collect();
-    // Dynamic programming over pattern × text.
-    let mut dp = vec![vec![false; t.len() + 1]; p.len() + 1];
-    dp[0][0] = true;
-    for i in 1..=p.len() {
-        if p[i - 1] == '%' {
-            dp[i][0] = dp[i - 1][0];
+    let (mut p, mut t) = (0, 0);
+    // After the last `%`: where the pattern resumes, and how far into the
+    // text the `%` has absorbed.
+    let mut star: Option<(usize, usize)> = None;
+    while let Some(tc) = text[t..].chars().next() {
+        match pattern[p..].chars().next() {
+            Some('%') => {
+                p += 1;
+                star = Some((p, t));
+                continue;
+            }
+            Some(pc) if pc == '_' || pc.eq_ignore_ascii_case(&tc) => {
+                p += pc.len_utf8();
+                t += tc.len_utf8();
+                continue;
+            }
+            _ => {}
         }
+        // Mismatch: let the last `%` absorb one more character and retry.
+        let Some((resume, absorbed)) = star else { return false };
+        let absorbed = absorbed + text[absorbed..].chars().next().map_or(1, char::len_utf8);
+        star = Some((resume, absorbed));
+        p = resume;
+        t = absorbed;
     }
-    for i in 1..=p.len() {
-        for j in 1..=t.len() {
-            dp[i][j] = match p[i - 1] {
-                '%' => dp[i - 1][j] || dp[i][j - 1],
-                '_' => dp[i - 1][j - 1],
-                c => dp[i - 1][j - 1] && c == t[j - 1],
-            };
-        }
+    pattern[p..].chars().all(|c| c == '%')
+}
+
+/// `l op r` for `+ - * /`: NULL when either side is NULL or on division
+/// by zero, an `Int` when both sides are ints (except for division), and
+/// `None` when a non-NULL side is not numeric.
+pub(crate) fn arith(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
+    if l.is_null() || r.is_null() {
+        return Some(Value::Null);
     }
-    dp[p.len()][t.len()]
+    let (a, b) = (l.as_f64()?, r.as_f64()?);
+    let out = match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div if b == 0.0 => return Some(Value::Null),
+        BinOp::Div => return Some(Value::Float(a / b)),
+        _ => return None,
+    };
+    // Preserve integer type when both sides were ints.
+    Some(match (l, r) {
+        (Value::Int(_), Value::Int(_)) => Value::Int(out as i64),
+        _ => Value::Float(out),
+    })
 }
 
 /// Evaluation context: one joined row, or a whole group for aggregates.
-pub(crate) enum Ctx<'a> {
+enum Ctx<'a> {
     Row(&'a [Value]),
     Group {
         rows: &'a [Vec<Value>],
     },
 }
 
-pub(crate) fn eval(expr: &Expr, ctx: &Ctx<'_>, layout: &Layout) -> Result<Value, DbError> {
+/// The oracle's tree-walking evaluator: resolves each column by name on
+/// every call.
+fn eval(expr: &Expr, ctx: &Ctx<'_>, layout: &Layout<'_>) -> Result<Value, DbError> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Column { table, name } => {
@@ -189,43 +243,10 @@ pub(crate) fn eval(expr: &Expr, ctx: &Ctx<'_>, layout: &Layout) -> Result<Value,
                     }
                 }
                 BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                    if l.is_null() || r.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    let (a, b) = (
-                        l.as_f64().ok_or_else(|| DbError::Eval {
-                            message: format!("arithmetic on non-numeric {l:?}"),
-                        })?,
-                        r.as_f64().ok_or_else(|| DbError::Eval {
-                            message: format!("arithmetic on non-numeric {r:?}"),
-                        })?,
-                    );
-                    let out = match op {
-                        BinOp::Add => a + b,
-                        BinOp::Sub => a - b,
-                        BinOp::Mul => a * b,
-                        BinOp::Div => {
-                            if b == 0.0 {
-                                return Ok(Value::Null);
-                            }
-                            a / b
-                        }
-                        _ => {
-                            return Err(DbError::Eval {
-                                message: format!(
-                                    "non-arithmetic operator {op:?} in arithmetic arm"
-                                ),
-                            })
-                        }
-                    };
-                    // Preserve integer type when both sides were ints and
-                    // the result is integral (except division).
-                    match (&l, &r, op) {
-                        (Value::Int(_), Value::Int(_), BinOp::Add | BinOp::Sub | BinOp::Mul) => {
-                            Ok(Value::Int(out as i64))
-                        }
-                        _ => Ok(Value::Float(out)),
-                    }
+                    arith(*op, &l, &r).ok_or_else(|| {
+                        let bad = if l.as_f64().is_none() { &l } else { &r };
+                        DbError::Eval { message: format!("arithmetic on non-numeric {bad:?}") }
+                    })
                 }
                 BinOp::And | BinOp::Or => Err(DbError::Eval {
                     message: "logical operator reached the scalar evaluator".into(),
@@ -334,68 +355,30 @@ pub(crate) fn eval(expr: &Expr, ctx: &Ctx<'_>, layout: &Layout) -> Result<Value,
     }
 }
 
-/// Adapter feeding pre-materialized rows (the naive join output) into the
-/// shared finisher.
-struct MaterializedSource {
-    rows: std::vec::IntoIter<Vec<Value>>,
-}
-
-impl RowSource for MaterializedSource {
-    fn next_row(&mut self) -> Result<Option<Vec<Value>>, DbError> {
-        Ok(self.rows.next())
-    }
-}
-
-/// Builds the cumulative join layouts: `layouts[j]` covers tables
-/// `0..=j`, so each `ON` clause is resolved against exactly the tables
-/// joined so far — the same scoping the naive incremental build sees.
-fn prefix_layouts(db: &Database, stmt: &SelectStmt) -> Result<Vec<Layout>, DbError> {
-    let base = db.table(&stmt.from.name)?;
-    let mut layout = Layout {
-        tables: vec![(
-            stmt.from.effective_name().to_ascii_lowercase(),
-            base.schema.names(),
-            0,
-        )],
-        width: base.schema.len(),
-    };
-    let mut layouts = vec![layout.clone()];
-    for join in &stmt.joins {
-        let right = db.table(&join.table.name)?;
-        layout.tables.push((
-            join.table.effective_name().to_ascii_lowercase(),
-            right.schema.names(),
-            layout.width,
-        ));
-        layout.width += right.schema.len();
-        layouts.push(layout.clone());
-    }
-    Ok(layouts)
-}
-
 /// Executes a parsed `SELECT` with the naive scan pipeline (the planner's
-/// test oracle): materialized nested-loop joins, then the shared finisher.
+/// test oracle): materialized nested-loop joins, then [`run_select`].
 pub(crate) fn execute_select(db: &Database, stmt: &SelectStmt) -> Result<QueryResult, DbError> {
     let mut sp = easytime_obs::span("db.execute");
     // --- FROM / JOIN: build the joined layout and row set. ---
-    let base = db.table(&stmt.from.name)?;
+    let layout = Layout::of(db, stmt)?;
+    let base = layout.tables[0].1;
     if sp.is_recording() {
         sp.attr("table", stmt.from.name.as_str());
         sp.attr_u64("joins", stmt.joins.len() as u64);
         easytime_obs::add("db.rows_scanned", base.rows.len() as u64);
     }
-    let layouts = prefix_layouts(db, stmt)?;
     let mut rows: Vec<Vec<Value>> = base.rows.clone();
     for (j, join) in stmt.joins.iter().enumerate() {
-        let right = db.table(&join.table.name)?;
-        let layout = &layouts[j + 1];
+        let right = layout.tables[j + 1].1;
+        // `ON` sees exactly the tables joined so far.
+        let scope = layout.prefix(j + 2);
         let mut joined = Vec::new();
         for l in &rows {
             for r in &right.rows {
                 let mut combined = Vec::with_capacity(l.len() + r.len());
                 combined.extend_from_slice(l);
                 combined.extend_from_slice(r);
-                if eval(&join.on, &Ctx::Row(&combined), layout)?.truthy() == Some(true) {
+                if eval(&join.on, &Ctx::Row(&combined), &scope)?.truthy() == Some(true) {
                     joined.push(combined);
                 }
             }
@@ -403,8 +386,7 @@ pub(crate) fn execute_select(db: &Database, stmt: &SelectStmt) -> Result<QueryRe
         rows = joined;
     }
 
-    let mut src = MaterializedSource { rows: rows.into_iter() };
-    let result = run_select(stmt, &mut src, layouts.last().unwrap_or(&layouts[0]), false)?;
+    let result = run_select(stmt, rows, &layout)?;
     if sp.is_recording() {
         sp.attr_u64("rows", result.rows.len() as u64);
         easytime_obs::add("db.rows_returned", result.rows.len() as u64);
@@ -412,177 +394,105 @@ pub(crate) fn execute_select(db: &Database, stmt: &SelectStmt) -> Result<QueryRe
     Ok(result)
 }
 
-/// Executes a parsed `SELECT` through a planned volcano operator chain.
-/// Produces bit-identical results to [`execute_select`] by construction:
-/// the access path only prunes (full `WHERE` re-applied per row, full `ON`
-/// re-checked per probe), and row order entering the finisher is either
-/// naive row-id order or, for sort-elided plans, the final output order.
+/// Executes a parsed `SELECT` along its plan: the compiled statement when
+/// the plan carries one, the scan oracle otherwise. Produces bit-identical
+/// results to [`execute_select`] (see [`crate::compiled`]).
 pub(crate) fn execute_planned(
     db: &Database,
     stmt: &SelectStmt,
     plan: &SelectPlan,
 ) -> Result<QueryResult, DbError> {
+    let Some(program) = &plan.program else { return execute_select(db, stmt) };
     let mut sp = easytime_obs::span("db.execute");
-    let base = db.table(&stmt.from.name)?;
     if sp.is_recording() {
         sp.attr("table", stmt.from.name.as_str());
         sp.attr_u64("joins", stmt.joins.len() as u64);
         sp.attr("path", "planned");
     }
-    let layouts = prefix_layouts(db, stmt)?;
-    let stats = ExecStats::default();
-
-    let mut src: Box<dyn RowSource + '_> = match &plan.access {
-        Access::Scan => Box::new(ScanSource::new(&base.rows, &stats)),
-        Access::Seek { index, eq, lo, hi, desc } => {
-            let ix = db.index(index).ok_or_else(|| DbError::Eval {
-                message: format!("plan references missing index '{index}'"),
-            })?;
-            stats.add_seeks(1);
-            let mut ids = Vec::new();
-            if eq.len() == ix.width() {
-                let key = IndexKey::from_values(eq.clone());
-                ix.probe_into(&key, &mut ids);
-            } else {
-                let mut start = eq.clone();
-                if let Some((v, _)) = lo {
-                    start.push(v.clone());
-                }
-                let start = IndexKey::from_values(start);
-                ix.collect_range(
-                    &start,
-                    eq.len(),
-                    lo.as_ref().map(|(v, i)| (v, *i)),
-                    hi.as_ref().map(|(v, i)| (v, *i)),
-                    *desc,
-                    &mut ids,
-                );
-                if !plan.sort_elided {
-                    // Key order isn't needed downstream: restore row-id
-                    // order so the finisher sees the naive emission order.
-                    ids.sort_unstable();
-                }
-            }
-            stats.add_pruned((base.rows.len() - ids.len()) as u64);
-            Box::new(IdListSource::new(&base.rows, ids, &stats))
-        }
-    };
-    if !plan.pushdown.is_empty() {
-        src = Box::new(FilterSource::new(src, &plan.pushdown, &layouts[0], &stats));
-    }
-    for (j, step) in plan.joins.iter().enumerate() {
-        let join = &stmt.joins[j];
-        let right = db.table(&join.table.name)?;
-        src = match step {
-            JoinStep::Nested => Box::new(NestedJoinSource::new(
-                src,
-                &right.rows,
-                &join.on,
-                &layouts[j + 1],
-                &stats,
-            )),
-            JoinStep::Probe { index, parts } => {
-                let ix = db.index(index).ok_or_else(|| DbError::Eval {
-                    message: format!("plan references missing index '{index}'"),
-                })?;
-                Box::new(ProbeJoinSource::new(
-                    src,
-                    &right.rows,
-                    ix,
-                    parts,
-                    &join.on,
-                    &layouts[j + 1],
-                    &stats,
-                ))
-            }
-        };
-    }
-
-    let result = run_select(
-        stmt,
-        src.as_mut(),
-        layouts.last().unwrap_or(&layouts[0]),
-        plan.sort_elided,
-    )?;
-    drop(src);
+    let layout = Layout::of(db, stmt)?;
+    let (result, stats) = program.run(db, stmt, &layout, plan)?;
     if sp.is_recording() {
         sp.attr_u64("rows", result.rows.len() as u64);
-        easytime_obs::add("db.index_seeks", stats.seeks.get());
-        easytime_obs::add("db.rows_scanned", stats.scanned.get());
-        easytime_obs::add("db.rows_pruned", stats.pruned.get());
+        easytime_obs::add("db.index_seeks", stats.seeks);
+        easytime_obs::add("db.rows_scanned", stats.scanned);
+        easytime_obs::add("db.rows_pruned", stats.pruned);
         easytime_obs::add("db.rows_returned", result.rows.len() as u64);
     }
     Ok(result)
 }
 
-/// Shared finishing pipeline: WHERE → GROUP BY + aggregates → HAVING →
-/// projection → DISTINCT → ORDER BY → LIMIT, pulling input rows from
-/// `src`. With `sort_elided` the caller guarantees rows already arrive in
-/// final `ORDER BY` order and the sort is skipped.
-fn run_select(
-    stmt: &SelectStmt,
-    src: &mut dyn RowSource,
-    layout: &Layout,
-    sort_elided: bool,
-) -> Result<QueryResult, DbError> {
-    let has_aggregate = stmt.items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-        SelectItem::Wildcard => false,
-    }) || stmt.having.as_ref().is_some_and(Expr::contains_aggregate);
-    let aggregate_mode = has_aggregate || !stmt.group_by.is_empty();
-
-    // Expand projections into (name, expr-or-wildcard-column).
-    let mut out_columns: Vec<String> = Vec::new();
-    let mut out_exprs: Vec<Expr> = Vec::new();
+/// Each output column's name and expression, with `*` expanded to every
+/// column of every joined table.
+pub(crate) fn projections(stmt: &SelectStmt, layout: &Layout<'_>) -> (Vec<String>, Vec<Expr>) {
+    let mut names = Vec::new();
+    let mut exprs = Vec::new();
     for item in &stmt.items {
         match item {
             SelectItem::Wildcard => {
-                if aggregate_mode {
-                    return Err(DbError::Unsupported {
-                        feature: "SELECT * together with aggregates/GROUP BY".into(),
-                    });
-                }
-                for (tname, cols, _) in &layout.tables {
-                    for c in cols {
-                        out_columns.push(c.clone());
-                        out_exprs.push(Expr::Column {
-                            table: Some(tname.clone()),
-                            name: c.clone(),
+                for (eff, tab) in &layout.tables {
+                    for c in tab.schema.columns() {
+                        names.push(c.name.clone());
+                        exprs.push(Expr::Column {
+                            table: Some(eff.to_ascii_lowercase()),
+                            name: c.name.clone(),
                         });
                     }
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                out_columns.push(alias.clone().unwrap_or_else(|| expr.default_name()));
-                out_exprs.push(expr.clone());
+                names.push(alias.clone().unwrap_or_else(|| expr.default_name()));
+                exprs.push(expr.clone());
             }
         }
     }
+    (names, exprs)
+}
 
-    // --- pull + WHERE, stopping early when LIMIT needs no ordering pass ---
-    let early_limit = match stmt.limit {
-        Some(l)
-            if !aggregate_mode
-                && !stmt.distinct
-                && (sort_elided || stmt.order_by.is_empty()) =>
-        {
-            Some(l)
+/// The output column an `ORDER BY` key names: an unqualified name equal to
+/// an output column's (so aliases win over table columns) sorts by that
+/// output value instead of being evaluated.
+pub(crate) fn output_alias(expr: &Expr, columns: &[String]) -> Option<usize> {
+    match expr {
+        Expr::Column { table: None, name } => {
+            columns.iter().position(|c| c.eq_ignore_ascii_case(name))
         }
         _ => None,
+    }
+}
+
+/// The oracle's finishing pipeline over the materialized joined rows:
+/// WHERE → GROUP BY + aggregates → HAVING → projection, then [`finish`].
+fn run_select(
+    stmt: &SelectStmt,
+    rows: Vec<Vec<Value>>,
+    layout: &Layout<'_>,
+) -> Result<QueryResult, DbError> {
+    let aggregate_mode = stmt.is_aggregate();
+    if aggregate_mode && stmt.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
+        return Err(DbError::Unsupported {
+            feature: "SELECT * together with aggregates/GROUP BY".into(),
+        });
+    }
+    let (out_columns, out_exprs) = projections(stmt, layout);
+
+    // --- WHERE, stopping early when LIMIT needs no ordering pass ---
+    let early_limit = match stmt.limit {
+        Some(l) if !aggregate_mode && !stmt.distinct && stmt.order_by.is_empty() => Some(l),
+        _ => None,
     };
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    loop {
-        if early_limit.is_some_and(|l| rows.len() >= l) {
+    let mut kept: Vec<Vec<Value>> = Vec::new();
+    for row in rows {
+        if early_limit.is_some_and(|l| kept.len() >= l) {
             break;
         }
-        let Some(row) = src.next_row()? else { break };
         if let Some(pred) = &stmt.where_clause {
             if eval(pred, &Ctx::Row(&row), layout)?.truthy() != Some(true) {
                 continue;
             }
         }
-        rows.push(row);
+        kept.push(row);
     }
+    let rows = kept;
 
     let mut result_rows: Vec<Vec<Value>> = Vec::new();
     // Values used for ORDER BY, aligned with result_rows.
@@ -594,12 +504,10 @@ fn run_select(
                        out_row: &[Value],
                        ctx: &Ctx<'_>|
      -> Result<Value, DbError> {
-        if let Expr::Column { table: None, name } = expr {
-            if let Some(i) = out_columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                return Ok(out_row[i].clone());
-            }
+        match output_alias(expr, &out_columns) {
+            Some(i) => Ok(out_row[i].clone()),
+            None => eval(expr, ctx, layout),
         }
-        eval(expr, ctx, layout)
     };
 
     if aggregate_mode {
@@ -671,25 +579,38 @@ fn run_select(
             order_keys.push(keys);
         }
     }
+    Ok(finish(stmt, out_columns, result_rows, order_keys, false))
+}
 
+/// The tail both executors share: DISTINCT → ORDER BY → LIMIT over the
+/// projected rows and their aligned `ORDER BY` keys. With `sort_elided`
+/// the rows already arrive in final `ORDER BY` order and the sort is
+/// skipped.
+pub(crate) fn finish(
+    stmt: &SelectStmt,
+    columns: Vec<String>,
+    mut rows: Vec<Vec<Value>>,
+    mut order_keys: Vec<Vec<Value>>,
+    sort_elided: bool,
+) -> QueryResult {
     // --- DISTINCT (typed keys, first appearance wins) ---
     if stmt.distinct {
         let mut seen: BTreeSet<IndexKey> = BTreeSet::new();
         let mut deduped_rows = Vec::new();
         let mut deduped_keys = Vec::new();
-        for (row, keys) in result_rows.into_iter().zip(order_keys) {
+        for (row, keys) in rows.into_iter().zip(order_keys) {
             if seen.insert(IndexKey::from_values(row.clone())) {
                 deduped_rows.push(row);
                 deduped_keys.push(keys);
             }
         }
-        result_rows = deduped_rows;
+        rows = deduped_rows;
         order_keys = deduped_keys;
     }
 
     // --- ORDER BY (stable; skipped when the access path delivered it) ---
     if !stmt.order_by.is_empty() && !sort_elided {
-        let mut idx: Vec<usize> = (0..result_rows.len()).collect();
+        let mut idx: Vec<usize> = (0..rows.len()).collect();
         idx.sort_by(|&a, &b| {
             for (k, (_, desc)) in stmt.order_by.iter().enumerate() {
                 let ord = order_keys[a][k].order_key(&order_keys[b][k]);
@@ -700,15 +621,15 @@ fn run_select(
             }
             Ordering::Equal
         });
-        result_rows = idx.into_iter().map(|i| std::mem::take(&mut result_rows[i])).collect();
+        rows = idx.into_iter().map(|i| std::mem::take(&mut rows[i])).collect();
     }
 
     // --- LIMIT ---
     if let Some(limit) = stmt.limit {
-        result_rows.truncate(limit);
+        rows.truncate(limit);
     }
 
-    Ok(QueryResult { columns: out_columns, rows: result_rows })
+    QueryResult { columns, rows }
 }
 
 #[cfg(test)]
@@ -832,6 +753,51 @@ mod tests {
         assert!(!like_match("web", "web_01"));
         assert!(like_match("%", ""));
         assert!(!like_match("_", ""));
+    }
+
+    /// The dynamic-programming matcher the greedy one replaced.
+    fn like_reference(pattern: &str, text: &str) -> bool {
+        let p: Vec<char> = pattern.to_ascii_lowercase().chars().collect();
+        let t: Vec<char> = text.to_ascii_lowercase().chars().collect();
+        let mut dp = vec![vec![false; t.len() + 1]; p.len() + 1];
+        dp[0][0] = true;
+        for i in 1..=p.len() {
+            if p[i - 1] == '%' {
+                dp[i][0] = dp[i - 1][0];
+            }
+            for j in 1..=t.len() {
+                dp[i][j] = match p[i - 1] {
+                    '%' => dp[i - 1][j] || dp[i][j - 1],
+                    '_' => dp[i - 1][j - 1],
+                    c => dp[i - 1][j - 1] && c == t[j - 1],
+                };
+            }
+        }
+        dp[p.len()][t.len()]
+    }
+
+    #[test]
+    fn like_matcher_agrees_with_the_reference_on_every_short_input() {
+        // Every pattern and text up to four characters over small
+        // alphabets, a multi-byte character and both letter cases included.
+        fn all(alphabet: &[char], max: usize) -> Vec<String> {
+            let mut out = vec![String::new()];
+            let mut frontier = out.clone();
+            for _ in 0..max {
+                frontier = frontier
+                    .iter()
+                    .flat_map(|s| alphabet.iter().map(move |c| format!("{s}{c}")))
+                    .collect();
+                out.extend(frontier.iter().cloned());
+            }
+            out
+        }
+        let texts = all(&['a', 'B', 'é'], 4);
+        for p in all(&['%', '_', 'A', 'b', 'é'], 4) {
+            for t in &texts {
+                assert_eq!(like_match(&p, t), like_reference(&p, t), "{p:?} LIKE {t:?}");
+            }
+        }
     }
 
     #[test]

@@ -65,6 +65,20 @@ impl IndexKey {
         self.values.push(v);
     }
 
+    /// Sets component `i` (appending it when `i` is the length) to a copy
+    /// of `v`, reusing the text buffer already in that slot: a scratch key
+    /// rebuilt for every row stops allocating once its buffers fit.
+    pub(crate) fn assign(&mut self, i: usize, v: &Value) {
+        match (self.values.get_mut(i), v) {
+            (Some(Value::Text(dst)), Value::Text(src)) => {
+                dst.clear();
+                dst.push_str(src);
+            }
+            (Some(slot), _) => *slot = v.clone(),
+            (None, _) => self.values.push(v.clone()),
+        }
+    }
+
     /// The key's components.
     pub fn values(&self) -> &[Value] {
         &self.values

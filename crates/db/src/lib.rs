@@ -9,14 +9,17 @@
 //!   parser producing a typed [`ast`].
 //! * [`executor`] — evaluation of `SELECT` (projection, `WHERE`, inner
 //!   `JOIN`, `GROUP BY` + aggregates, `HAVING`, `ORDER BY`, `LIMIT`,
-//!   `DISTINCT`), `INSERT`, and `CREATE TABLE`. Two paths share one
-//!   finisher: a naive scan oracle and a planned volcano operator chain.
+//!   `DISTINCT`), `INSERT`, and `CREATE TABLE`. Two paths share name
+//!   resolution and the DISTINCT/ORDER BY/LIMIT tail: a naive scan oracle,
+//!   and the compiled statement run along its plan.
 //! * [`index`] — typed secondary B-tree indexes (single- and multi-column,
 //!   ordered by `Value::order_key`) maintained on every insert.
-//! * `plan` / `stats` / `iter` (internal) — the cost-based planner:
+//! * `plan` / `stats` / `compiled` (internal) — the cost-based planner:
 //!   per-table statistics, selectivity-costed access-path and join-strategy
 //!   choice, sort elision onto index order, and a deterministic plan
-//!   explain surfaced via [`Database::explain`].
+//!   explain surfaced via [`Database::explain`]; and the compiled executor,
+//!   which evaluates over row-id tuples on borrowed values and folds
+//!   GROUP BY into per-group accumulators.
 //! * [`verify`] — the *verification step* of Figure 3: statements are
 //!   parsed and schema-checked against the catalog before execution, and
 //!   the Q&A path additionally restricts statements to read-only `SELECT`.
@@ -29,11 +32,11 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
+mod compiled;
 pub mod database;
 pub mod error;
 pub mod executor;
 pub mod index;
-mod iter;
 pub mod knowledge;
 pub mod lexer;
 pub mod parser;

@@ -6,6 +6,10 @@
 //! be elided because the chosen index already delivers `ORDER BY` order.
 //! Decisions come from a selectivity cost model over [`crate::stats`].
 //!
+//! Planning also compiles the statement ([`crate::compiled`]). A statement
+//! that has no compiled form, because some evaluation could raise an
+//! error, gets the scan oracle's plan instead, and its explain names why.
+//!
 //! Two contracts:
 //!
 //! * **Bit-identical results.** Index access only *prunes*: the executor
@@ -19,8 +23,10 @@
 //!   index-creation order.
 
 use crate::ast::{BinOp, Expr, SelectItem, SelectStmt};
-use crate::database::{Database, Table};
+use crate::compiled::{self, Program};
+use crate::database::Database;
 use crate::error::DbError;
+use crate::executor::Layout;
 use crate::index::Index;
 use crate::stats::{self, TableStats};
 use crate::value::Value;
@@ -68,8 +74,8 @@ pub(crate) enum Access {
 /// One probe-key component for an index-nested-loop join.
 #[derive(Debug, Clone)]
 pub(crate) enum ProbePart {
-    /// Take the value at this global offset of the already-joined row.
-    LeftCol(usize),
+    /// Take column `.1` of already-joined table `.0`.
+    LeftCol(usize, usize),
     /// A constant from the `ON` clause.
     Const(Value),
 }
@@ -89,64 +95,26 @@ pub(crate) enum JoinStep {
 }
 
 /// A complete plan for one `SELECT`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SelectPlan {
     /// Driving-table access path.
     pub(crate) access: Access,
-    /// Driver-only conjuncts applied before joining (empty when the query
-    /// has no joins — the final `WHERE` pass covers them).
-    pub(crate) pushdown: Vec<Expr>,
+    /// Driver-only `WHERE` conjuncts, as indexes into the [`split_and`]
+    /// list, applied before joining (empty when the query has no joins —
+    /// the final `WHERE` pass covers them).
+    pub(crate) pushdown: Vec<usize>,
     /// One step per `JOIN`, in statement order.
     pub(crate) joins: Vec<JoinStep>,
     /// The access path already delivers `ORDER BY` order: skip the sort.
     pub(crate) sort_elided: bool,
     /// Deterministic plan description.
     pub(crate) explain: String,
-}
-
-/// Name-resolution view over the query's tables.
-struct Tables<'a> {
-    /// `(effective name, table, global column offset)` in join order.
-    list: Vec<(String, &'a Table, usize)>,
-}
-
-enum Res {
-    Col { table: usize, pos: usize, offset: usize },
-    Missing,
-}
-
-impl Tables<'_> {
-    fn resolve(&self, table: Option<&str>, name: &str) -> Res {
-        match table {
-            Some(t) => {
-                for (i, (eff, tab, off)) in self.list.iter().enumerate() {
-                    if eff == t {
-                        return match tab.schema.index_of(name) {
-                            Some(pos) => Res::Col { table: i, pos, offset: off + pos },
-                            None => Res::Missing,
-                        };
-                    }
-                }
-                Res::Missing
-            }
-            None => {
-                let mut found = None;
-                for (i, (_, tab, off)) in self.list.iter().enumerate() {
-                    if let Some(pos) = tab.schema.index_of(name) {
-                        if found.is_some() {
-                            return Res::Missing; // ambiguous: treat as unplannable
-                        }
-                        found = Some(Res::Col { table: i, pos, offset: off + pos });
-                    }
-                }
-                found.unwrap_or(Res::Missing)
-            }
-        }
-    }
+    /// The compiled statement; `None` runs it on the scan oracle.
+    pub(crate) program: Option<Program>,
 }
 
 /// Flattens top-level `AND`s into a conjunct list.
-fn split_and<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+pub(crate) fn split_and<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
     match expr {
         Expr::Binary { op: BinOp::And, left, right } => {
             split_and(left, out);
@@ -157,16 +125,16 @@ fn split_and<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
 }
 
 /// The set of tables a conjunct references; `None` when any column fails
-/// to resolve (unknown or ambiguous — the naive `WHERE` pass will report
-/// it, the planner just refuses to reason about it).
-fn conjunct_tables(expr: &Expr, tables: &Tables<'_>) -> Option<BTreeSet<usize>> {
+/// to resolve (unknown or ambiguous — the planner refuses to reason about
+/// it).
+fn conjunct_tables(expr: &Expr, tables: &Layout<'_>) -> Option<BTreeSet<usize>> {
     let mut ok = true;
     let mut set = BTreeSet::new();
-    expr.visit_columns(&mut |t, n| match tables.resolve(t, n) {
-        Res::Col { table, .. } => {
+    expr.visit_columns(&mut |t, n| match tables.slot(t, n) {
+        Ok((table, _)) => {
             set.insert(table);
         }
-        Res::Missing => ok = false,
+        Err(_) => ok = false,
     });
     ok.then_some(set)
 }
@@ -185,13 +153,11 @@ fn lit_of(expr: &Expr) -> Option<Value> {
 }
 
 /// A plain column operand resolved to `(table, position)`.
-fn col_of(expr: &Expr, tables: &Tables<'_>) -> Option<(usize, usize)> {
-    if let Expr::Column { table, name } = expr {
-        if let Res::Col { table: t, pos, .. } = tables.resolve(table.as_deref(), name) {
-            return Some((t, pos));
-        }
+fn col_of(expr: &Expr, tables: &Layout<'_>) -> Option<(usize, usize)> {
+    match expr {
+        Expr::Column { table, name } => tables.slot(table.as_deref(), name).ok(),
+        _ => None,
     }
-    None
 }
 
 /// Sargable predicates extracted from the driver-only conjuncts, keyed by
@@ -206,7 +172,7 @@ struct Sargs {
 }
 
 impl Sargs {
-    fn extract(conjuncts: &[&Expr], tables: &Tables<'_>) -> Sargs {
+    fn extract(conjuncts: &[&Expr], tables: &Layout<'_>) -> Sargs {
         let mut s = Sargs::default();
         for c in conjuncts {
             let before = (s.eqs.len(), s.los.len(), s.his.len());
@@ -270,7 +236,7 @@ impl Sargs {
 /// in aggregate mode a `GROUP BY` list equal to the `ORDER BY` list.
 fn wanted_order(
     stmt: &SelectStmt,
-    tables: &Tables<'_>,
+    tables: &Layout<'_>,
     aggregate_mode: bool,
 ) -> Option<(Vec<usize>, bool)> {
     if stmt.order_by.is_empty() || stmt.distinct {
@@ -287,7 +253,7 @@ fn wanted_order(
     for item in &stmt.items {
         match item {
             SelectItem::Wildcard => {
-                for (i, (_, tab, _)) in tables.list.iter().enumerate() {
+                for (i, (_, tab)) in tables.tables.iter().enumerate() {
                     for (pos, name) in tab.schema.names().into_iter().enumerate() {
                         out.push((name, Some((i, pos))));
                     }
@@ -438,9 +404,9 @@ pub(crate) fn render_expr(expr: &Expr) -> String {
     }
 }
 
-/// Plans a verified `SELECT`. Never fails for resolution reasons — on any
-/// trouble it degrades to the naive scan plan and lets the executor report
-/// the same error the scan path would.
+/// Plans and compiles a verified `SELECT`. Never fails for resolution
+/// reasons — on any trouble it degrades to the scan oracle's plan and lets
+/// the oracle report the error.
 pub(crate) fn plan_select(db: &Database, stmt: &SelectStmt) -> Result<SelectPlan, DbError> {
     let mut sp = easytime_obs::span("db.plan");
     let plan = build_plan(db, stmt);
@@ -459,34 +425,35 @@ pub(crate) fn plan_select(db: &Database, stmt: &SelectStmt) -> Result<SelectPlan
     Ok(plan)
 }
 
-fn scan_plan(stmt: &SelectStmt) -> SelectPlan {
+/// The plan of a statement that runs on the scan oracle: a full scan and
+/// nested-loop joins, with the reason it has no compiled form.
+fn oracle_plan(stmt: &SelectStmt, why: &str) -> SelectPlan {
     let mut explain = format!("select from {}\n", stmt.from.effective_name());
     let _ = writeln!(explain, "  access {}: seq-scan", stmt.from.effective_name());
     for j in &stmt.joins {
         let _ = writeln!(explain, "  join {}: nested-loop", j.table.effective_name());
     }
+    let _ = writeln!(explain, "  executor: scan oracle ({why})");
     SelectPlan {
         access: Access::Scan,
         pushdown: Vec::new(),
         joins: vec![JoinStep::Nested; stmt.joins.len()],
         sort_elided: false,
         explain,
+        program: None,
     }
 }
 
 fn build_plan(db: &Database, stmt: &SelectStmt) -> SelectPlan {
-    // Resolve every table up front; bail to the naive plan when any is
-    // unknown (the executor reproduces the scan path's error).
-    let mut list = Vec::new();
-    let mut offset = 0usize;
-    for r in std::iter::once(&stmt.from).chain(stmt.joins.iter().map(|j| &j.table)) {
-        let Ok(tab) = db.table(&r.name) else { return scan_plan(stmt) };
-        list.push((r.effective_name().to_ascii_lowercase(), tab, offset));
-        offset += tab.schema.len();
-    }
-    let tables = Tables { list };
-    let driver = tables.list[0].1;
-    let driver_eff = tables.list[0].0.clone();
+    let Ok(tables) = Layout::of(db, stmt) else {
+        return oracle_plan(stmt, "an unknown table");
+    };
+    let program = match compiled::compile(stmt, &tables) {
+        Ok(p) => p,
+        Err(why) => return oracle_plan(stmt, why),
+    };
+    let driver = tables.tables[0].1;
+    let driver_eff = tables.tables[0].0.to_ascii_lowercase();
     let st = stats::gather(db, &driver.name);
     let n = st.rows as f64;
 
@@ -495,20 +462,15 @@ fn build_plan(db: &Database, stmt: &SelectStmt) -> SelectPlan {
     if let Some(w) = &stmt.where_clause {
         split_and(w, &mut conjuncts);
     }
-    let driver_only: Vec<&Expr> = conjuncts
-        .iter()
-        .filter(|c| {
-            conjunct_tables(c, &tables).is_some_and(|s| s.len() == 1 && s.contains(&0))
+    let driver_idx: Vec<usize> = (0..conjuncts.len())
+        .filter(|&i| {
+            conjunct_tables(conjuncts[i], &tables).is_some_and(|s| s.len() == 1 && s.contains(&0))
         })
-        .copied()
         .collect();
+    let driver_only: Vec<&Expr> = driver_idx.iter().map(|&i| conjuncts[i]).collect();
     let sargs = Sargs::extract(&driver_only, &tables);
 
-    let has_aggregate = stmt.items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-        SelectItem::Wildcard => false,
-    }) || stmt.having.as_ref().is_some_and(Expr::contains_aggregate);
-    let aggregate_mode = has_aggregate || !stmt.group_by.is_empty();
+    let aggregate_mode = stmt.is_aggregate();
     let wanted = wanted_order(stmt, &tables, aggregate_mode);
 
     // Overall output-row estimate (for sort and streaming costs): every
@@ -603,7 +565,7 @@ fn build_plan(db: &Database, stmt: &SelectStmt) -> SelectPlan {
     let mut left_est = best.est;
     for (j, join) in stmt.joins.iter().enumerate() {
         let right_idx = j + 1;
-        let right = tables.list[right_idx].1;
+        let right = tables.tables[right_idx].1;
         let n_r = right.rows.len() as f64;
         let mut on_parts = Vec::new();
         let mut on_conjuncts = Vec::new();
@@ -617,15 +579,10 @@ fn build_plan(db: &Database, stmt: &SelectStmt) -> SelectPlan {
                     }
                     let part = if let Some(v) = lit_of(b) {
                         Some(ProbePart::Const(v))
-                    } else if let Expr::Column { table, name } = b.as_ref() {
-                        match tables.resolve(table.as_deref(), name) {
-                            Res::Col { table: bt, offset, .. } if bt <= j => {
-                                Some(ProbePart::LeftCol(offset))
-                            }
-                            _ => None,
-                        }
                     } else {
-                        None
+                        col_of(b, &tables)
+                            .filter(|&(bt, _)| bt <= j)
+                            .map(|(bt, pos)| ProbePart::LeftCol(bt, pos))
                     };
                     if let Some(p) = part {
                         on_parts.push((pos, p, render_expr(b)));
@@ -692,11 +649,7 @@ fn build_plan(db: &Database, stmt: &SelectStmt) -> SelectPlan {
 
     // Pushdown only matters ahead of joins; single-table queries filter in
     // the main WHERE pass anyway.
-    let pushdown: Vec<Expr> = if stmt.joins.is_empty() {
-        Vec::new()
-    } else {
-        driver_only.iter().map(|e| (*e).clone()).collect()
-    };
+    let pushdown = if stmt.joins.is_empty() { Vec::new() } else { driver_idx };
 
     // --- explain ---
     let mut explain = format!("select from {driver_eff}\n");
@@ -745,7 +698,7 @@ fn build_plan(db: &Database, stmt: &SelectStmt) -> SelectPlan {
         }
     }
     if !pushdown.is_empty() {
-        let rendered: Vec<String> = pushdown.iter().map(render_expr).collect();
+        let rendered: Vec<String> = pushdown.iter().map(|&i| render_expr(conjuncts[i])).collect();
         let _ = writeln!(explain, "  filter {driver_eff}: {}", rendered.join(" AND "));
     }
     for line in &join_lines {
@@ -778,5 +731,39 @@ fn build_plan(db: &Database, stmt: &SelectStmt) -> SelectPlan {
         let _ = writeln!(explain, "  limit: {l}");
     }
 
-    SelectPlan { access: best.access, pushdown, joins, sort_elided: best.elided, explain }
+    SelectPlan {
+        access: best.access,
+        pushdown,
+        joins,
+        sort_elided: best.elided,
+        explain,
+        program: Some(program),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::database::Database;
+
+    #[test]
+    fn a_range_on_an_extreme_key_estimates_that_keys_rows() {
+        // The Q&A knowledge base's shape: 3,000 results over two horizons.
+        let mut db = Database::new();
+        db.execute("CREATE TABLE results (method TEXT, horizon INTEGER, mae REAL)").unwrap();
+        for i in 0..3000 {
+            let sql = format!(
+                "INSERT INTO results VALUES ('m{}', {}, {}.5)",
+                i % 25,
+                [24, 96][i % 2],
+                i % 7
+            );
+            db.execute(&sql).unwrap();
+        }
+        db.create_index("ix_results_horizon", "results", &["horizon"]).unwrap();
+        for range in ["horizon >= 96", "horizon <= 24"] {
+            let explain = db.explain(&format!("SELECT mae FROM results WHERE {range}")).unwrap();
+            assert!(explain.contains("index-seek ix_results_horizon"), "{explain}");
+            assert!(explain.contains("rows~1500.0"), "{range}: {explain}");
+        }
+    }
 }

@@ -44,7 +44,9 @@ impl TableStats {
 
     /// Range selectivity for bounds on column `col`, interpolated over the
     /// observed [min, max] span when both are numeric; a fixed default
-    /// otherwise.
+    /// otherwise. The column holds discrete keys, so a non-empty clipped
+    /// range selects at least one key's share (`1 / distinct`): a range
+    /// that touches only the extreme key still matches that key's rows.
     pub(crate) fn range_selectivity(
         &self,
         col: usize,
@@ -64,7 +66,10 @@ impl TableStats {
         }
         let lo = lo.and_then(Value::as_f64).unwrap_or(min).max(min);
         let hi = hi.and_then(Value::as_f64).unwrap_or(max).min(max);
-        let frac = (hi - lo) / span;
+        let mut frac = (hi - lo) / span;
+        if let (true, Some(distinct)) = (hi >= lo, cs.distinct) {
+            frac = frac.max(1.0 / distinct.max(1) as f64);
+        }
         if frac.is_finite() {
             frac.clamp(0.0005, 1.0)
         } else {
@@ -146,8 +151,29 @@ mod tests {
         let range = st.range_selectivity(1, Some(&Value::Int(24)), Some(&Value::Int(180)));
         assert!((0.0..=1.0).contains(&range));
         assert!(range < 1.0, "half the span is not the whole span");
+        // An empty clipped range keeps the floor.
+        let empty = st.range_selectivity(1, Some(&Value::Int(400)), None);
+        assert!(empty < 0.01, "a range past the max selects nothing: {empty}");
         // No stats for an unindexed column → defaults.
         assert_eq!(st.eq_selectivity(7), 1.0 / 20.0);
         assert_eq!(st.range_selectivity(7, None, None), 0.25);
+    }
+
+    #[test]
+    fn a_range_touching_only_an_extreme_key_selects_that_key() {
+        // Two horizons with equal row counts: `>= max` and `<= min` each
+        // match half the rows, not the interpolated zero-width span.
+        let mut db = Database::new();
+        db.create_table("r", Schema::new(vec![Column::new("horizon", ColumnType::Int)]))
+            .unwrap();
+        for h in [24, 96, 24, 96] {
+            db.insert_row("r", vec![Value::Int(h)]).unwrap();
+        }
+        db.create_index("ix_h", "r", &["horizon"]).unwrap();
+        let st = gather(&db, "r");
+        let at_max = st.range_selectivity(0, Some(&Value::Int(96)), None);
+        let at_min = st.range_selectivity(0, None, Some(&Value::Int(24)));
+        assert!(at_max >= 0.5, "horizon >= 96 selects {at_max}");
+        assert!(at_min >= 0.5, "horizon <= 24 selects {at_min}");
     }
 }

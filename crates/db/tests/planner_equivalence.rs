@@ -2,12 +2,15 @@
 //! semantics change.
 //!
 //! For a corpus of generated queries — point and range filters, LIKE/IN
-//! residuals, joins, GROUP BY + aggregates, HAVING, DISTINCT, ORDER BY
-//! with DESC, LIMIT, and data containing NULLs and NaN metrics — every
-//! planned result must be *bit-identical* (float bits compared exactly) to
-//! the naive scan oracle's result. The plan explain must also be
-//! byte-identical across repeated runs and across databases whose indexes
-//! were created in a different order.
+//! residuals, two- and three-table joins, GROUP BY on driver, joined and
+//! multiple columns, every aggregate (over columns and expressions, and
+//! over empty input), HAVING, bare non-key columns, DISTINCT, ORDER BY
+//! with DESC, LIMIT (0 included), and data containing NULLs and NaN
+//! metrics — every planned result must be *bit-identical* (float bits
+//! compared exactly) to the naive scan oracle's result. Statements whose
+//! evaluation fails must fail with the oracle's exact error. The plan
+//! explain must also be byte-identical across repeated runs and across
+//! databases whose indexes were created in a different order.
 
 use easytime_db::schema::{Column, ColumnType, Schema};
 use easytime_db::{Database, QueryResult, Value};
@@ -17,9 +20,19 @@ use std::fmt::Write;
 const METHODS: [&str; 5] = ["naive", "theta", "ses", "drift", "arima"];
 const DOMAINS: [&str; 4] = ["web", "economic", "traffic", "energy"];
 const HORIZONS: [i64; 6] = [24, 48, 96, 192, 336, 720];
+/// The third table's rows: every method's family, plus one method that
+/// never ran.
+const FAMILIES: [(&str, &str); 6] = [
+    ("naive", "baseline"),
+    ("theta", "statistical"),
+    ("ses", "statistical"),
+    ("drift", "baseline"),
+    ("arima", "statistical"),
+    ("dlinear", "deep"),
+];
 
-/// Index definitions over the two tables; created in shuffled order.
-const INDEXES: [(&str, &str, &[&str]); 7] = [
+/// Index definitions over the three tables; created in shuffled order.
+const INDEXES: [(&str, &str, &[&str]); 8] = [
     ("ix_r_method", "results", &["method"]),
     ("ix_r_horizon", "results", &["horizon"]),
     ("ix_r_mh", "results", &["method", "horizon"]),
@@ -27,6 +40,7 @@ const INDEXES: [(&str, &str, &[&str]); 7] = [
     ("ix_r_dh", "results", &["dataset_id", "horizon"]),
     ("ix_d_id", "datasets", &["id"]),
     ("ix_d_domain", "datasets", &["domain"]),
+    ("ix_m_name", "methods", &["name"]),
 ];
 
 /// Builds the benchmark-shaped test database. `index_shuffle` seeds the
@@ -96,6 +110,18 @@ fn build_db(seed: u64, index_shuffle: u64) -> Database {
         .unwrap();
     }
 
+    db.create_table(
+        "methods",
+        Schema::new(vec![
+            Column::new("name", ColumnType::Text),
+            Column::new("family", ColumnType::Text),
+        ]),
+    )
+    .unwrap();
+    for (name, family) in FAMILIES {
+        db.insert_row("methods", vec![Value::from(name), Value::from(family)]).unwrap();
+    }
+
     let mut order: Vec<usize> = (0..INDEXES.len()).collect();
     StdRng::seed_from_u64(index_shuffle).shuffle(&mut order);
     for i in order {
@@ -132,6 +158,7 @@ fn gen_query(rng: &mut StdRng) -> String {
     let mae_bound = rng.gen_range_f64(0.5, 8.0);
     let domain = DOMAINS[rng.gen_range(0..DOMAINS.len())];
     let trend = rng.gen_range_f64(0.1, 0.9);
+    let family = FAMILIES[rng.gen_range(0..FAMILIES.len())].1;
 
     let preds: [String; 8] = [
         format!("method = '{method}'"),
@@ -154,13 +181,14 @@ fn gen_query(rng: &mut StdRng) -> String {
     } else {
         format!(" WHERE {}", chosen.join(" AND "))
     };
-    let limit = match rng.gen_range(0..3) {
-        0 => format!(" LIMIT {}", rng.gen_range(1..30)),
+    let limit = match rng.gen_range(0..8) {
+        0..2 => format!(" LIMIT {}", rng.gen_range(1..30)),
+        2 => " LIMIT 0".to_string(),
         _ => String::new(),
     };
     let desc = if rng.gen_bool(0.5) { " DESC" } else { "" };
 
-    match rng.gen_range(0..8) {
+    match rng.gen_range(0..17) {
         0 => format!("SELECT * FROM results{where_clause} ORDER BY mae{desc}, method{limit}"),
         1 => format!(
             "SELECT method, COUNT(*) AS n, AVG(mae) AS m FROM results{where_clause} \
@@ -187,7 +215,57 @@ fn gen_query(rng: &mut StdRng) -> String {
         // Elision-friendly shapes: a single ORDER BY key that is the tail
         // of an index, with and without an eq prefix.
         6 => format!("SELECT * FROM results WHERE method = '{method}' ORDER BY horizon{limit}"),
-        _ => format!("SELECT method, mae FROM results ORDER BY mae{desc}{limit}"),
+        7 => format!("SELECT method, mae FROM results ORDER BY mae{desc}{limit}"),
+        // Every aggregate over the NULL/NaN-salted `mae` and the
+        // NULL-salted `dataset_id`.
+        8 => format!(
+            "SELECT method, SUM(mae) AS s, MIN(mae) AS lo, MAX(mae) AS hi, COUNT(mae) AS nm, \
+             COUNT(dataset_id) AS nd, MIN(dataset_id) AS first_id FROM results{where_clause} \
+             GROUP BY method ORDER BY method{desc}{limit}"
+        ),
+        // GROUP BY a joined column.
+        9 => format!(
+            "SELECT d.domain, COUNT(*) AS n, AVG(r.mae) AS m, MAX(r.mae) AS hi FROM results r \
+             JOIN datasets d ON r.dataset_id = d.id WHERE r.horizon >= {h_lo} \
+             GROUP BY d.domain ORDER BY d.domain{desc}{limit}"
+        ),
+        // A two-column GROUP BY.
+        10 => format!(
+            "SELECT method, horizon, COUNT(*) AS n, SUM(mae) AS s FROM results{where_clause} \
+             GROUP BY method, horizon ORDER BY n{desc}, method, horizon{limit}"
+        ),
+        // Three tables: rows, then groups keyed on the third table.
+        11 => format!(
+            "SELECT r.method, m.family, d.domain, r.mae FROM results r \
+             JOIN datasets d ON r.dataset_id = d.id JOIN methods m ON r.method = m.name \
+             WHERE m.family = '{family}' AND r.horizon <= {h_hi} \
+             ORDER BY r.mae{desc}, r.method, d.domain{limit}"
+        ),
+        12 => format!(
+            "SELECT m.family, COUNT(*) AS n, AVG(r.mae) AS m FROM results r \
+             JOIN datasets d ON r.dataset_id = d.id JOIN methods m ON r.method = m.name \
+             WHERE d.domain = '{domain}' GROUP BY m.family ORDER BY m{desc}, m.family"
+        ),
+        // HAVING on an aggregate that is not projected.
+        13 => format!(
+            "SELECT method, AVG(mae) AS m FROM results{where_clause} GROUP BY method \
+             HAVING MAX(mae) > {mae_bound} ORDER BY method{desc}"
+        ),
+        // Aggregates over expressions, and bare non-key columns, which
+        // take the group's first row.
+        14 => format!(
+            "SELECT method, dataset_id, mae, AVG(mae * 2) AS m2, SUM(horizon / 24) AS hs \
+             FROM results{where_clause} GROUP BY method ORDER BY method{desc}"
+        ),
+        // Aggregates over empty input, without and with GROUP BY.
+        15 => "SELECT COUNT(*) AS n, COUNT(mae) AS nm, SUM(mae) AS s, AVG(mae) AS a, \
+               MIN(mae) AS lo, MAX(dataset_id) AS hi, method FROM results WHERE horizon = 7"
+            .to_string(),
+        _ => format!(
+            "SELECT r.method, COUNT(*) AS n, SUM(r.mae) AS s FROM results r \
+             JOIN datasets d ON r.dataset_id = d.id WHERE d.domain = 'none' \
+             GROUP BY r.method ORDER BY r.method{limit}"
+        ),
     }
 }
 
@@ -208,6 +286,48 @@ fn planned_results_are_bit_identical_to_the_scan_oracle() {
             }
         }
     }
+}
+
+/// Statements whose evaluation can fail return the oracle's exact result,
+/// error included — even when the plan would prune the failing rows.
+#[test]
+fn errors_are_identical_to_the_scan_oracle() {
+    let mut db = Database::new();
+    for sql in [
+        "CREATE TABLE results (dataset_id TEXT, method TEXT, mae REAL)",
+        "INSERT INTO results VALUES ('a', 'naive', 1.0), ('b', 'theta', 2.0)",
+        "CREATE TABLE datasets (id TEXT, domain TEXT)",
+        "INSERT INTO datasets VALUES ('zzz', 'web')",
+        "CREATE TABLE tags (id TEXT, method TEXT)",
+        "INSERT INTO tags VALUES ('a', 'x')",
+        "CREATE TABLE empty (id TEXT, method TEXT)",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    db.create_index("ix_d_id", "datasets", &["id"]).unwrap();
+    // No `results` row joins `datasets`: the oracle never evaluates the
+    // WHERE, but the pushed-down filter would on every driver row.
+    let pruned = "SELECT r.method FROM results r JOIN datasets d ON r.dataset_id = d.id \
+                  WHERE r.mae + r.method > 1";
+    let cases = [
+        pruned,
+        "SELECT SUM(method) FROM results",
+        "SELECT AVG(dataset_id) AS a FROM results GROUP BY method",
+        "SELECT method FROM results WHERE mae + method > 1",
+        "SELECT -method FROM results",
+        "SELECT method FROM results WHERE mae LIKE '1%'",
+        // `method` is in both joined tables: ambiguous once a row joins.
+        "SELECT method FROM results r JOIN empty e ON r.dataset_id = e.id",
+        "SELECT method FROM results r JOIN tags t ON r.dataset_id = t.id",
+        "SELECT r.method FROM results r JOIN datasets d ON COUNT(*) > 0",
+        "SELECT r.method FROM results r JOIN tags t ON r.dataset_id = t.id AND COUNT(*) > 0",
+    ];
+    for sql in cases {
+        assert_eq!(db.query(sql), db.query_scan(sql), "{sql}");
+    }
+    assert!(db.query(cases[7]).is_err() && db.query(cases[6]).is_ok());
+    let explain = db.explain(pruned).unwrap();
+    assert!(explain.contains("executor: scan oracle (arithmetic"), "{explain}");
 }
 
 #[test]

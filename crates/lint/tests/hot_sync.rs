@@ -2,8 +2,8 @@
 //! must be *pinned* by one of the counting-allocator tests, and the set of
 //! annotated functions must match the paths the R18 design names (the
 //! rolling-evaluation window loop, the embedding path, the linalg kernels
-//! plus the obs facade they report through, and the SQL index seek/probe
-//! path).
+//! plus the obs facade they report through, the SQL index seek/probe
+//! path, and the compiled executor's per-row aggregate fold).
 //!
 //! The static side (this file) keeps the annotation list honest: adding a
 //! hot marker without wiring the function into an allocator-counting test
@@ -19,7 +19,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The exact set of `(crate, fn)` keys that must carry a hot annotation.
-const EXPECTED_HOT: [(&str, &str); 27] = [
+const EXPECTED_HOT: [(&str, &str); 28] = [
+    ("easytime-db", "accumulate"),
     ("easytime-db", "cmp_values"),
     ("easytime-db", "collect_range"),
     ("easytime-db", "probe_into"),
@@ -50,7 +51,7 @@ const EXPECTED_HOT: [(&str, &str); 27] = [
 ];
 
 /// The counting-allocator tests and the entry points each one drives.
-const SYNC: [(&str, &[&str]); 5] = [
+const SYNC: [(&str, &[&str]); 6] = [
     (
         "crates/obs/tests/no_alloc.rs",
         &[
@@ -70,6 +71,7 @@ const SYNC: [(&str, &[&str]); 5] = [
     ("crates/repr/tests/no_alloc_embed.rs", &["embed_into"]),
     ("crates/db/tests/no_alloc_seek.rs", &["probe_into", "collect_range"]),
     ("crates/models/tests/no_alloc_boost.rs", &["best_stump"]),
+    ("crates/db/tests/no_alloc_query.rs", &["accumulate"]),
 ];
 
 fn workspace_root() -> PathBuf {

@@ -90,6 +90,14 @@ echo "=== query-planner regression gate ==="
 # speedups. Writes results/BENCH_db.json.
 EASYTIME_BENCH_FAST=1 cargo run --release -q -p easytime-bench --bin exp_db
 
+echo "=== Q&A scan-oracle gate ==="
+# Populates the knowledge base with real evaluation runs and asks the E4
+# suite. Every answer's rows must equal, float bits included, the scan
+# oracle's rows for the generated SQL and for the suite's ground-truth
+# SQL; an in-scope question that fails or an out-of-scope question that
+# gets an answer fails the gate too.
+cargo run --release -q -p easytime-bench --bin exp_qa
+
 echo "=== traced smoke evaluation ==="
 # obs_smoke runs a small traced evaluate_corpus, writes
 # results/{trace.jsonl,metrics.json,PROFILE.json,profile.txt}, and exits
