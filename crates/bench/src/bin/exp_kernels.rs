@@ -5,9 +5,11 @@
 //! property tests use as oracles) at the shapes the forecasting hot paths
 //! actually hit: ridge-fit design matrices (~480×25), ROCKET dilated
 //! convolutions, and a full rolling corpus sweep for end-to-end windows/sec.
-//! The `gboost` row times a boosted-stump fit through the per-fit split
-//! tables against `GradientBoost::fit_reference`, the per-round search
-//! oracle, and fails unless both give bit-identical forecasts.
+//! The `gboost` row times a boosted-stump fit (per-fit split tables, each
+//! round screened by a histogram estimate and swept exactly only where a
+//! candidate can win) against `GradientBoost::fit_reference`, the
+//! per-round search oracle, and fails unless both give bit-identical
+//! forecasts.
 //!
 //! Writes `results/BENCH_kernels.json` and exits nonzero if any blocked
 //! kernel is *slower* than its naive reference, so CI locks the
@@ -197,8 +199,8 @@ fn main() {
         micros.push(Micro { name: "conv_ppv_max", shape: "512 d3 w9".into(), naive_s, blocked_s });
     }
 
-    // Boosted stumps: per-fit split tables against the per-round search
-    // oracle, at the zoo's `gboost_12` shape. Appended last so the earlier
+    // Boosted stumps: per-fit split tables and the screened search against
+    // the per-round search oracle, at the zoo's `gboost_12` shape. Appended last so the earlier
     // rows keep their `kernels.kernels.<i>` indices.
     {
         let ts = easytime_data::TimeSeries::new(

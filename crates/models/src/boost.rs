@@ -10,11 +10,20 @@
 //! The candidate splits do not depend on the residuals: each lag's decile
 //! thresholds, and which rows fall left of them, are fixed by the training
 //! values. [`Forecaster::fit`] therefore builds the split tables once per
-//! fit, and each round is two allocation-free sweeps per lag over the
-//! residuals. [`GradientBoost::fit_reference`] keeps the original search,
-//! which sorts every lag column and scans it twice per threshold in every
-//! round, as the oracle. Both feed every sum the same additions in the same
-//! order, so they pick bit-identical stumps.
+//! fit, and each round screens before it searches. One scatter-add per row
+//! and lag bins the residuals by the row's first-left decile, and the bin
+//! sums give every split's squared error as `Σr² − L²/n_l − R²/n_r`. That
+//! estimate is computed in a different order than the exact search, so it
+//! only ranks the candidates: a proven bound on its rounding error decides
+//! which lags can hold the exact minimum, and only those get the two exact
+//! row-order sweeps. When a single candidate survives, one pass computes
+//! its leaf sums. Where the bound does not apply (residuals outside the
+//! normal range, or not finite), every lag is swept exactly. Rounds are
+//! allocation-free. [`GradientBoost::fit_reference`] keeps the original
+//! search, which sorts every lag column and scans it twice per threshold in
+//! every round, as the oracle. Every candidate that can be the minimum is
+//! summed with the same additions in the same order as the oracle sums it,
+//! so both pick bit-identical stumps.
 
 use crate::{check_horizon, check_train, Forecaster, ModelError, Result};
 use easytime_data::TimeSeries;
@@ -47,7 +56,19 @@ impl Stump {
     }
 }
 
-/// The residual-independent half of the stump search, built once per fit.
+/// Which search a round ran, so the equivalence suite can count the paths.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Search {
+    /// One candidate survived the screen; one pass gave its leaf sums.
+    Single,
+    /// The screen left candidates in this many lags, each swept exactly.
+    Screened(usize),
+    /// The rounding bound did not apply, so every lag was swept exactly.
+    Unscreened,
+}
+
+/// The residual-independent half of the stump search, built once per fit,
+/// and the buffer the per-round screen writes.
 struct SplitTables {
     /// Rows per lag column: the number of boosting targets.
     rows: usize,
@@ -59,6 +80,9 @@ struct SplitTables {
     /// puts the row on the left (`DECILES` when none does). The thresholds
     /// ascend, so a row is left of decile `q` exactly when `q >= first`.
     first_left: Vec<u8>,
+    /// Per lag: each decile's estimated squared error in the current round,
+    /// or NaN where the split leaves a side empty (NaN passes no cutoff).
+    estimates: Vec<[f64; DECILES]>,
 }
 
 impl SplitTables {
@@ -88,47 +112,210 @@ impl SplitTables {
             thresholds.push(t);
             left_n.push(counts);
         }
-        SplitTables { rows, thresholds, left_n, first_left }
+        let estimates = vec![[0.0; DECILES]; lookback];
+        SplitTables { rows, thresholds, left_n, first_left, estimates }
     }
 
-    // lint: hot(per-round stump search, run once per boosting round; stack accumulators only, pinned by models/tests/no_alloc_boost.rs)
-    /// Fits the best stump for `residuals`: per lag, one sweep sums every
-    /// decile's left and right residuals and a second sums every decile's
-    /// squared error, both in row order. Ties keep the first candidate in
-    /// lag-major, then decile order, as [`reference_stump`] does.
-    fn best_stump(&self, residuals: &[f64]) -> Option<Stump> {
-        let mut best: Option<(Stump, f64)> = None;
-        for (i, firsts) in self.first_left.chunks_exact(self.rows).enumerate() {
-            // The sums become the leaf means in place.
-            let (mut left, mut right) = split_sums(firsts, residuals);
-            let left_n = &self.left_n[i];
-            for ((l, r), &n) in left.iter_mut().zip(&mut right).zip(left_n) {
-                *l /= n as f64;
-                *r /= (self.rows - n) as f64;
+    /// One lag's first-left deciles, in row order.
+    fn column(&self, lag: usize) -> &[u8] {
+        &self.first_left[lag * self.rows..(lag + 1) * self.rows]
+    }
+
+    // lint: hot(per-round stump search, run once per boosting round; writes the per-fit estimate buffer and sweeps with stack accumulators, pinned by models/tests/no_alloc_boost.rs)
+    /// Fits the best stump for `residuals` and reports which search it ran.
+    /// The screen estimates every candidate's squared error; only lags with
+    /// a candidate that can equal the exact minimum are swept exactly, and a
+    /// lone surviving candidate needs only its leaf sums. Where the screen's
+    /// rounding bound does not apply, every lag is swept. Either way the
+    /// stump is the one [`reference_stump`] picks, ties included: the first
+    /// candidate in lag-major, then decile order with the least squared
+    /// error, as the reference computes it.
+    fn best_stump(&mut self, residuals: &[f64]) -> (Option<Stump>, Search) {
+        let mut best = None;
+        let Some(cutoff) = self.screen(residuals) else {
+            for lag in 0..self.estimates.len() {
+                self.sweep(lag, residuals, &mut best);
             }
-            // Row `first` predicts `right` below decile `first`, `left` from it on.
-            let mut preds = [left; DECILES + 1];
-            for (first, pred) in preds.iter_mut().enumerate() {
-                pred[..first].copy_from_slice(&right[..first]);
-            }
-            let sse = split_sse(firsts, residuals, &preds);
-            for q in 0..DECILES {
-                if left_n[q] == 0 || left_n[q] == self.rows {
-                    continue;
-                }
-                if best.as_ref().is_none_or(|(_, b)| sse[q] < *b) {
-                    let stump = Stump {
-                        lag: i + 1,
-                        threshold: self.thresholds[i][q],
-                        left: left[q],
-                        right: right[q],
-                    };
-                    best = Some((stump, sse[q]));
-                }
+            return (best.map(|(s, _)| s), Search::Unscreened);
+        };
+        let survives = |e: &f64| *e <= cutoff;
+        let mut survivors = self.estimates.iter().enumerate().flat_map(|(lag, est)| {
+            est.iter().enumerate().filter(|(_, e)| survives(e)).map(move |(q, _)| (lag, q))
+        });
+        if let (Some((lag, q)), None) = (survivors.next(), survivors.next()) {
+            return (Some(self.leaf_stump(lag, q, residuals)), Search::Single);
+        }
+        let mut swept = 0;
+        for lag in 0..self.estimates.len() {
+            if self.estimates[lag].iter().any(survives) {
+                self.sweep(lag, residuals, &mut best);
+                swept += 1;
             }
         }
-        best.map(|(s, _)| s)
+        (best.map(|(s, _)| s), Search::Screened(swept))
     }
+
+    /// Fills `estimates` for `residuals` and returns the cutoff at or below
+    /// which an estimate may belong to the exact minimum, or `None` where
+    /// the rounding bound does not apply.
+    ///
+    /// A split with `n_l` rows summing to `L` on the left and `n_r` summing
+    /// to `R` on the right has squared error `Σr² − L²/n_l − R²/n_r` about
+    /// its leaf means. The estimate evaluates that with `L` and `R` taken
+    /// from per-lag bin sums (bin = first-left decile) instead of row-order
+    /// sums, so it differs from the float sum the reference computes, and
+    /// the bound below says by how much.
+    fn screen(&mut self, residuals: &[f64]) -> Option<f64> {
+        let (sq, max) = square_sum_and_max(residuals);
+        let rows = self.rows;
+        let (mut min, mut finite) = (f64::INFINITY, true);
+        let lags = self.first_left.chunks_exact(rows).zip(&self.left_n);
+        for ((firsts, left_n), est) in lags.zip(&mut self.estimates) {
+            let bins = bin_sums(firsts, residuals);
+            let total: f64 = bins.iter().sum();
+            let mut left = 0.0;
+            for q in 0..DECILES {
+                left += bins[q];
+                let n = left_n[q];
+                est[q] = f64::NAN;
+                if n == 0 || n == rows {
+                    continue;
+                }
+                let right = total - left;
+                let e = sq - left * left / n as f64 - right * right / (rows - n) as f64;
+                finite &= e.is_finite();
+                min = min.min(e);
+                est[q] = e;
+            }
+        }
+        // The bound. Write n = rows, M = max|r|, u = 2⁻⁵³, and S for a
+        // split's squared error in exact arithmetic, so S ≤ Σr² ≤ nM². Each
+        // operation rounds with relative error at most u, and a k-term sum,
+        // in any order, errs by at most ku·Σ|terms| (to first order; for
+        // n ≤ 2²⁰ the neglected terms are below n²u ≤ 2⁻¹³ relative).
+        // - The reference's float SSE F: its leaf means are within nuM of
+        //   the exact ones. The deviations from an exact mean sum to zero,
+        //   so about the rounded means Σ(r − mean)² exceeds S only by a
+        //   second-order n(nuM)². Each squared difference errs by ≤ 3u
+        //   relative and the row-order sum by ≤ (n − 1)u, on a total of at
+        //   most nM². So |F − S| ≤ (n + 5)²uM².
+        // - The estimate: Σr² errs by ≤ n²uM². L passes through at most
+        //   n + 9 additions (its bins, then the prefix), so it errs by
+        //   ≤ (n + 9)u·n_l·M, and R = total − L by ≤ (2n + 22)u·nM. Since
+        //   |L̂² − L²| = |L̂ − L|·|L̂ + L| ≤ |L̂ − L|·2n_l·M, the L²/n_l term
+        //   errs by ≤ 2(n + 10)u·n_l·M² and the R²/n_r term by
+        //   ≤ (4(n + 11)n + 2n_r)uM²; the two final subtractions add 2nuM².
+        //   In all, (7n² + 68n)uM² ≤ 7(n + 5)²uM².
+        // So |estimate − F| ≤ 8(n + 5)²uM² ≤ E/4 for the E below. The
+        // reference's minimum F* is at most F of the candidate with the
+        // least estimate, so every candidate whose F equals F* has an
+        // estimate within E/2 of the least one. The cutoff, 2E above it,
+        // keeps them all with a fourfold margin, which also covers the
+        // rounding of E and the cutoff; a swept lag then recomputes each F
+        // exactly, and every lag left out holds only candidates with F > F*.
+        //
+        // The model needs normal-range arithmetic: M in [2⁻⁴⁵⁰, 2⁴⁵⁰] keeps
+        // every square and sum finite, and keeps the absolute error of a
+        // result below the normal range (≤ 2⁻¹⁰⁷⁵ each) far under E. Outside
+        // that range, or with a non-finite estimate, every lag is swept.
+        let bound = 64.0 * ((rows + 4) as f64).powi(2) * (f64::EPSILON / 2.0) * max * max;
+        let normal = (2f64.powi(-450)..=2f64.powi(450)).contains(&max) && rows <= 1 << 20;
+        (normal && finite && bound.is_finite()).then_some(min + 2.0 * bound)
+    }
+
+    /// Sweeps one lag exactly: one pass sums every decile's left and right
+    /// residuals and a second sums every decile's squared error, both in
+    /// row order, and `best` takes any candidate with a strictly smaller
+    /// error, in decile order.
+    fn sweep(&self, lag: usize, residuals: &[f64], best: &mut Option<(Stump, f64)>) {
+        let firsts = self.column(lag);
+        // The sums become the leaf means in place.
+        let (mut left, mut right) = split_sums(firsts, residuals);
+        let left_n = &self.left_n[lag];
+        for ((l, r), &n) in left.iter_mut().zip(&mut right).zip(left_n) {
+            *l /= n as f64;
+            *r /= (self.rows - n) as f64;
+        }
+        // Row `first` predicts `right` below decile `first`, `left` from it on.
+        let mut preds = [left; DECILES + 1];
+        for (first, pred) in preds.iter_mut().enumerate() {
+            pred[..first].copy_from_slice(&right[..first]);
+        }
+        let sse = split_sse(firsts, residuals, &preds);
+        for q in 0..DECILES {
+            if left_n[q] == 0 || left_n[q] == self.rows {
+                continue;
+            }
+            if best.as_ref().is_none_or(|(_, b)| sse[q] < *b) {
+                let stump = Stump {
+                    lag: lag + 1,
+                    threshold: self.thresholds[lag][q],
+                    left: left[q],
+                    right: right[q],
+                };
+                *best = Some((stump, sse[q]));
+            }
+        }
+    }
+
+    /// The stump of one split, its leaf sums accumulated in row order as
+    /// [`split_sums`] accumulates them.
+    fn leaf_stump(&self, lag: usize, q: usize, residuals: &[f64]) -> Stump {
+        let (mut left, mut right) = (0.0, 0.0);
+        for (&first, &r) in self.column(lag).iter().zip(residuals) {
+            let is_left = q >= usize::from(first);
+            left = if is_left { left + r } else { left };
+            right = if is_left { right } else { right + r };
+        }
+        let n = self.left_n[lag][q];
+        Stump {
+            lag: lag + 1,
+            threshold: self.thresholds[lag][q],
+            left: left / n as f64,
+            right: right / (self.rows - n) as f64,
+        }
+    }
+}
+
+// The screen's passes accumulate in four lanes, so that no addition waits
+// on the one before it (at 268 rows and 12 lags, the bins took 2.5 µs a
+// round instead of 4.3 µs, the squares 0.15 µs instead of 0.9 µs); the
+// bound holds for any summation order.
+
+/// `Σr²` and `max|r|` of the residuals. A NaN residual is left out of the
+/// maximum but makes the sum NaN.
+fn square_sum_and_max(residuals: &[f64]) -> (f64, f64) {
+    let (mut sq, mut max) = ([0.0; 4], [0.0; 4]);
+    let mut chunks = residuals.chunks_exact(4);
+    for chunk in &mut chunks {
+        for k in 0..4 {
+            sq[k] += chunk[k] * chunk[k];
+            max[k] = if chunk[k].abs() > max[k] { chunk[k].abs() } else { max[k] };
+        }
+    }
+    for &r in chunks.remainder() {
+        sq[0] += r * r;
+        max[0] = if r.abs() > max[0] { r.abs() } else { max[0] };
+    }
+    let max = max.into_iter().fold(0.0, |m, a| if a > m { a } else { m });
+    ((sq[0] + sq[1]) + (sq[2] + sq[3]), max)
+}
+
+/// The residual sum of each first-left bin of one lag: one scatter-add
+/// per row.
+fn bin_sums(firsts: &[u8], residuals: &[f64]) -> [f64; DECILES + 1] {
+    let mut bins = [[0.0; DECILES + 1]; 4];
+    let mut firsts = firsts.chunks_exact(4);
+    let mut rs = residuals.chunks_exact(4);
+    for (first, r) in (&mut firsts).zip(&mut rs) {
+        for k in 0..4 {
+            bins[k][usize::from(first[k])] += r[k];
+        }
+    }
+    for (&first, &r) in firsts.remainder().iter().zip(rs.remainder()) {
+        bins[0][usize::from(first)] += r;
+    }
+    std::array::from_fn(|b| (bins[0][b] + bins[1][b]) + (bins[2][b] + bins[3][b]))
 }
 
 // The two sweeps stay out of line: inlined into the lag loop, their 18 and
@@ -321,8 +508,8 @@ impl Forecaster for GradientBoost {
         check_train(train, self.min_train_len())?;
         let v = train.values();
         let lookback = self.effective_lookback(v.len());
-        let tables = SplitTables::new(v, lookback);
-        self.boost(v, lookback, |residuals| tables.best_stump(residuals));
+        let mut tables = SplitTables::new(v, lookback);
+        self.boost(v, lookback, |residuals| tables.best_stump(residuals).0);
         Ok(())
     }
 
@@ -445,10 +632,16 @@ mod tests {
         (0..CASES).map(|i| StdRng::seed_from_u64(MASTER_SEED).derive(i))
     }
 
-    /// A seeded series in one of four shapes: smooth (trend, season and
+    /// A seeded series in one of six shapes: smooth (trend, season and
     /// noise), quantised to a coarse grid (ties, so several deciles share a
-    /// threshold), a few levels that include both signed zeros, or
-    /// constant. A quarter of the series sit at the 16-point minimum.
+    /// threshold), a few levels that include both signed zeros, constant,
+    /// smooth but scaled out of the screen's range, or periodic integers.
+    /// Scaled by 1e305 (and lifted so the targets' sum overflows) the mean
+    /// is infinite and the residuals are not finite; by 1e150 the squares
+    /// stay finite but pass 2⁹⁰⁰; by 1e-160 and 1e-300 they fall below the
+    /// normal range. A periodic series repeats its lag columns, so splits on
+    /// different lags tie exactly. A quarter of the series sit at the
+    /// 16-point minimum.
     fn random_values(rng: &mut StdRng) -> Vec<f64> {
         let n = if rng.gen_bool(0.25) { 16 } else { rng.gen_range(16..100) };
         let level = rng.gen_range_f64(-50.0, 50.0);
@@ -459,16 +652,27 @@ mod tests {
             let t = t as f64;
             level + slope * t + amp * (std::f64::consts::TAU * t / period).sin()
         });
-        match rng.gen_range(0..4) {
+        match rng.gen_range(0..6) {
             0 => smooth.map(|v| v + rng.gen_f64() - 0.5).collect(),
             1 => {
                 let step = rng.gen_range_f64(0.5, 8.0);
                 smooth.map(|v| (v / step).round() * step).collect()
             }
             2 => (0..n).map(|_| [-0.0, 0.0, 1.0, -2.5][rng.gen_range(0..4)]).collect(),
-            _ => {
+            3 => {
                 let v = smooth.next().unwrap_or(0.0);
                 vec![v; n]
+            }
+            4 => {
+                let scale = [1e305, 1e150, 1e-160, 1e-300][rng.gen_range(0..4)];
+                let lift = if scale > 1e300 { 1e3 } else { 0.0 };
+                smooth.map(|v| (v + lift) * scale).collect()
+            }
+            _ => {
+                let cycle: Vec<f64> = (0..rng.gen_range(1..8))
+                    .map(|_| rng.gen_range(0..9) as f64 - 4.0)
+                    .collect();
+                cycle.iter().copied().cycle().take(n).collect()
             }
         }
     }
@@ -484,6 +688,7 @@ mod tests {
     #[test]
     fn split_tables_pick_the_oracle_stump_every_round() {
         let (mut rounds, mut tied_lags, mut clamped, mut constant) = (0, 0, 0, 0);
+        let (mut single, mut several_lags, mut unscreened, mut not_finite) = (0, 0, 0, 0);
         for (case, mut rng) in cases().enumerate() {
             let values = random_values(&mut rng);
             let lookback = rng.gen_range(1..21);
@@ -491,18 +696,22 @@ mod tests {
             let mut m = GradientBoost::new(lookback, ROUNDS, rate).unwrap();
             let lb = m.effective_lookback(values.len());
             clamped += usize::from(lb < lookback);
-            let tables = SplitTables::new(&values, lb);
+            let mut tables = SplitTables::new(&values, lb);
             let tied = |t: &&[f64; DECILES]| t.windows(2).any(|w| w[0].total_cmp(&w[1]).is_eq());
             tied_lags += tables.thresholds.iter().filter(tied).count();
             m.boost(&values, lb, |residuals| {
-                let fast = tables.best_stump(residuals);
+                let (fast, search) = tables.best_stump(residuals);
                 let oracle = reference_stump(&values, residuals, lb);
                 assert_eq!(
                     stump_bits(fast.as_ref()),
                     stump_bits(oracle.as_ref()),
-                    "case {case}: split tables and oracle chose different stumps"
+                    "case {case}: split tables ({search:?}) and oracle chose different stumps"
                 );
                 rounds += usize::from(oracle.is_some());
+                single += usize::from(search == Search::Single);
+                several_lags += usize::from(matches!(search, Search::Screened(2..)));
+                unscreened += usize::from(search == Search::Unscreened);
+                not_finite += usize::from(residuals.iter().any(|r| !r.is_finite()));
                 oracle
             });
             constant += usize::from(m.fitted.as_ref().is_some_and(|st| st.stumps.is_empty()));
@@ -518,10 +727,15 @@ mod tests {
                 "case {case}: fit and fit_reference forecasts differ"
             );
         }
-        // The generator must keep reaching every regime the suite names.
+        // The generator must keep reaching every regime the suite names,
+        // and every search the screen can choose.
         assert!(rounds > 4_000, "only {rounds} rounds found a split");
         assert!(tied_lags > 100, "only {tied_lags} lags had repeated thresholds");
         assert!(clamped > 50, "only {clamped} cases clamped the lookback");
         assert!(constant > 20, "only {constant} cases found no split at all");
+        assert!(single > 900, "only {single} rounds had a single surviving candidate");
+        assert!(several_lags > 350, "only {several_lags} rounds swept several lags");
+        assert!(unscreened > 600, "only {unscreened} rounds fell back to sweeping every lag");
+        assert!(not_finite > 150, "only {not_finite} rounds had non-finite residuals");
     }
 }

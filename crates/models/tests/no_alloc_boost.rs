@@ -1,13 +1,20 @@
-//! Proof that a boosting round is allocation-free.
+//! Proof that a boosting round is allocation-free, whichever search the
+//! round runs.
 //!
 //! [`easytime_obs::CountingAlloc`] wraps the system allocator while
-//! `GradientBoost::fit` runs on one series with 5 rounds and with 200.
+//! `GradientBoost::fit` runs on a series with 5 rounds and with 200.
 //! Everything a fit allocates is per fit: the split tables (one sort
-//! buffer, the per-lag thresholds, left counts and row indexes), the
-//! residuals, the stump vector (sized once from the round count) and the
-//! fitted tail. Each round's search, the private hot `best_stump` that
-//! `fit` calls once per round, sweeps the tables with stack accumulators
-//! only, so 195 extra rounds must not cost one extra allocation.
+//! buffer, the per-lag thresholds, left counts and row indexes, and the
+//! buffer of per-candidate error estimates), the residuals, the stump
+//! vector (sized once from the round count) and the fitted tail. Each
+//! round's search, the private hot `best_stump` that `fit` calls once per
+//! round, bins the residuals into stack arrays, writes its estimates into
+//! that per-fit buffer, and sweeps with stack accumulators only, so 195
+//! extra rounds must not cost one extra allocation. Three series reach its
+//! three paths: a noisy one leaves a single candidate in every round; a
+//! periodic integer series repeats its lag columns, so tied splits on
+//! several lags are swept exactly; and a series scaled by 1e-160, whose
+//! squared residuals fall below the normal range, sweeps every lag.
 
 use easytime_data::{Frequency, TimeSeries};
 use easytime_models::boost::GradientBoost;
@@ -39,19 +46,23 @@ fn measured_fit(series: &TimeSeries, rounds: usize) -> u64 {
 // allocate during the measurement window and make the count flaky.
 #[test]
 fn boosting_rounds_are_allocation_free() {
-    let values: Vec<f64> = (0..280)
+    let noisy: Vec<f64> = (0..280)
         .map(|t| {
             let t = t as f64;
             10.0 + 0.02 * t + 3.0 * (t / 7.0).sin() + ((t * 0.37).sin() * 9.0).fract()
         })
         .collect();
-    let series = TimeSeries::new("alloc", values, Frequency::Daily).unwrap();
+    let periodic: Vec<f64> = (0..280).map(|t| [3.0, -1.0, 4.0, 1.0, -5.0][t % 5]).collect();
+    let tiny: Vec<f64> = noisy.iter().map(|v| v * 1e-160).collect();
 
-    let with_5 = measured_fit(&series, 5);
-    let with_200 = measured_fit(&series, 200);
-    assert_eq!(
-        with_5, with_200,
-        "195 extra boosting rounds must not allocate: a 5-round fit costs {with_5} \
-         allocations, a 200-round fit {with_200}"
-    );
+    for (name, values) in [("noisy", noisy), ("periodic", periodic), ("tiny", tiny)] {
+        let series = TimeSeries::new(name, values, Frequency::Daily).unwrap();
+        let with_5 = measured_fit(&series, 5);
+        let with_200 = measured_fit(&series, 200);
+        assert_eq!(
+            with_5, with_200,
+            "{name}: 195 extra boosting rounds must not allocate: a 5-round fit costs \
+             {with_5} allocations, a 200-round fit {with_200}"
+        );
+    }
 }
