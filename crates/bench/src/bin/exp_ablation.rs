@@ -19,14 +19,12 @@ use easytime::{Dataset, RecommenderConfig, Strategy, WeightMode};
 use easytime_automl::classifier::LabelMode;
 use easytime_automl::{AutoEnsemble, Recommender};
 use easytime_bench::{arg_usize, experiment_corpus, fast_zoo, finite_mean, ndcg_at_k, print_table};
+use easytime_eval::metrics::{self, MetricContext};
 use easytime_repr::EmbedderConfig;
 
+/// sMAPE (%) by the pipeline's own metric; NaN for an empty or misaligned forecast.
 fn smape(pred: &[f64], actual: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for (p, a) in pred.iter().zip(actual) {
-        sum += 2.0 * (a - p).abs() / (a.abs() + p.abs()).max(1e-12);
-    }
-    100.0 * sum / actual.len() as f64
+    MetricContext::new(actual, pred, &[], 1).map_or(f64::NAN, |ctx| metrics::smape(&ctx))
 }
 
 struct Setup {

@@ -20,14 +20,12 @@
 use easytime::{ModelSpec, RecommenderConfig, Strategy, TimeSeries, WeightMode};
 use easytime_automl::{AutoEnsemble, Recommender};
 use easytime_bench::{arg_usize, experiment_corpus, fast_zoo, finite_mean, global_best_method, print_table};
+use easytime_eval::metrics::{self, MetricContext};
 use easytime_rng::StdRng;
 
+/// sMAPE (%) by the pipeline's own metric; NaN for an empty or misaligned forecast.
 fn smape(pred: &[f64], actual: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for (p, a) in pred.iter().zip(actual) {
-        sum += 2.0 * (a - p).abs() / (a.abs() + p.abs()).max(1e-12);
-    }
-    100.0 * sum / actual.len() as f64
+    MetricContext::new(actual, pred, &[], 1).map_or(f64::NAN, |ctx| metrics::smape(&ctx))
 }
 
 fn single_method_smape(name: &str, history: &TimeSeries, future: &[f64]) -> f64 {

@@ -1,15 +1,15 @@
 //! Experiment E8 — blocked compute-kernel throughput.
 //!
 //! Times the blocked/multi-accumulator kernels in `easytime_linalg::kernels`
-//! against naive textbook references (the same reference implementations the
-//! property tests use as oracles) at the shapes the forecasting hot paths
+//! against naive textbook references at the shapes the forecasting hot paths
 //! actually hit: ridge-fit design matrices (~480×25), ROCKET dilated
 //! convolutions, and a full rolling corpus sweep for end-to-end windows/sec.
 //! The `gboost` row times a boosted-stump fit (per-fit split tables, each
 //! round screened by a histogram estimate and swept exactly only where a
 //! candidate can win) against `GradientBoost::fit_reference`, the
 //! per-round search oracle, and fails unless both give bit-identical
-//! forecasts.
+//! forecasts. Each row times its two sides in alternation within every
+//! best-of round, so host drift during a row lands on both sides.
 //!
 //! Writes `results/BENCH_kernels.json` and exits nonzero if any blocked
 //! kernel is *slower* than its naive reference, so CI locks the
@@ -43,21 +43,40 @@ impl Micro {
     }
 }
 
-/// Best-of-3 wall time of `reps` calls to `f`.
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f(); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let started = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(started.elapsed().as_secs_f64());
+/// Wall time of `reps` calls to `f`.
+fn time_reps<R>(reps: usize, f: &mut impl FnMut() -> R) -> f64 {
+    let started = Instant::now();
+    for _ in 0..reps {
+        black_box(f());
     }
-    best
+    started.elapsed().as_secs_f64()
 }
 
-// ---- naive textbook references (the property-test oracles) ----
+/// Best-of-3 wall time of `reps` calls to `f`.
+fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    f(); // warmup
+    (0..3).map(|_| time_reps(reps, &mut f)).fold(f64::INFINITY, f64::min)
+}
+
+/// Best-of-3 wall times of `reps` calls to `naive` and to `blocked`, the two
+/// timed back to back within each round.
+fn time_pair<A, B>(
+    reps: usize,
+    mut naive: impl FnMut() -> A,
+    mut blocked: impl FnMut() -> B,
+) -> (f64, f64) {
+    naive(); // warmup
+    blocked();
+    (0..3).fold((f64::INFINITY, f64::INFINITY), |(n, b), _| {
+        (n.min(time_reps(reps, &mut naive)), b.min(time_reps(reps, &mut blocked)))
+    })
+}
+
+// ---- naive textbook references ----
+//
+// `naive_dot`, `naive_gram` and `naive_conv_ppv_max` are the oracles of
+// `crates/linalg/tests/kernel_properties.rs`. `naive_matmul` is not: it is
+// the i-j-k dot form, while the property tests use an i-k-j loop.
 
 fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -130,28 +149,31 @@ fn main() {
         let a = series(rows, 0.3);
         let b = series(rows, 0.7);
         let reps = 40_000 * scale;
-        let naive_s = time_best(reps, || {
-            black_box(naive_dot(black_box(&a), black_box(&b)));
-        });
-        let blocked_s = time_best(reps, || {
-            black_box(kernels::dot(black_box(&a), black_box(&b)));
-        });
+        let (naive_s, blocked_s) = time_pair(
+            reps,
+            || naive_dot(black_box(&a), black_box(&b)),
+            || kernels::dot(black_box(&a), black_box(&b)),
+        );
         micros.push(Micro { name: "dot", shape: format!("{rows}"), naive_s, blocked_s });
     }
 
     // gram at the ridge normal-equations shape.
     {
         let reps = 400 * scale;
+        let mut naive_out = vec![0.0; cols * cols];
         let mut out = vec![0.0; cols * cols];
-        let naive_s = time_best(reps, || {
-            naive_gram(rows, cols, black_box(&x), &mut out);
-            black_box(&out);
-        });
         let mut packed = Vec::new();
-        let blocked_s = time_best(reps, || {
-            kernels::gram(rows, cols, black_box(&x), &mut packed, &mut out);
-            black_box(&out);
-        });
+        let (naive_s, blocked_s) = time_pair(
+            reps,
+            || {
+                naive_gram(rows, cols, black_box(&x), &mut naive_out);
+                black_box(&naive_out);
+            },
+            || {
+                kernels::gram(rows, cols, black_box(&x), &mut packed, &mut out);
+                black_box(&out);
+            },
+        );
         micros.push(Micro {
             name: "gram",
             shape: format!("{rows}x{cols}"),
@@ -166,17 +188,21 @@ fn main() {
         let a = series(m * k, 0.1);
         let b = series(k * n, 0.9);
         let reps = 4 * scale;
+        let mut naive_out = vec![0.0; m * n];
         let mut out = vec![0.0; m * n];
-        let naive_s = time_best(reps, || {
-            naive_matmul(m, k, n, black_box(&a), black_box(&b), &mut out);
-            black_box(&out);
-        });
         let mut panel = Vec::new();
-        let blocked_s = time_best(reps, || {
-            out.fill(0.0);
-            kernels::matmul(m, k, n, black_box(&a), black_box(&b), &mut panel, &mut out);
-            black_box(&out);
-        });
+        let (naive_s, blocked_s) = time_pair(
+            reps,
+            || {
+                naive_matmul(m, k, n, black_box(&a), black_box(&b), &mut naive_out);
+                black_box(&naive_out);
+            },
+            || {
+                out.fill(0.0);
+                kernels::matmul(m, k, n, black_box(&a), black_box(&b), &mut panel, &mut out);
+                black_box(&out);
+            },
+        );
         micros.push(Micro {
             name: "matmul",
             shape: format!("{m}x{k}x{n}"),
@@ -190,12 +216,11 @@ fn main() {
         let z = series(512, 0.0);
         let w = [0.4, -1.1, 0.8, 0.2, -0.6, 1.3, -0.9, 0.5, -0.2];
         let reps = 20_000 * scale;
-        let naive_s = time_best(reps, || {
-            black_box(naive_conv_ppv_max(black_box(&z), black_box(&w), 0.2, 3));
-        });
-        let blocked_s = time_best(reps, || {
-            black_box(kernels::conv_ppv_max(black_box(&z), black_box(&w), 0.2, 3));
-        });
+        let (naive_s, blocked_s) = time_pair(
+            reps,
+            || naive_conv_ppv_max(black_box(&z), black_box(&w), 0.2, 3),
+            || kernels::conv_ppv_max(black_box(&z), black_box(&w), 0.2, 3),
+        );
         micros.push(Micro { name: "conv_ppv_max", shape: "512 d3 w9".into(), naive_s, blocked_s });
     }
 
@@ -212,12 +237,11 @@ fn main() {
         let mut fast_model = GradientBoost::new(12, 60, 0.2).expect("valid boost params");
         let mut oracle = fast_model.clone();
         let reps = 20 * scale;
-        let naive_s = time_best(reps, || {
-            oracle.fit_reference(black_box(&ts)).expect("oracle fit");
-        });
-        let blocked_s = time_best(reps, || {
-            fast_model.fit(black_box(&ts)).expect("table fit");
-        });
+        let (naive_s, blocked_s) = time_pair(
+            reps,
+            || oracle.fit_reference(black_box(&ts)).expect("oracle fit"),
+            || fast_model.fit(black_box(&ts)).expect("table fit"),
+        );
         let bits = |m: &GradientBoost| -> Vec<u64> {
             m.forecast(12).expect("fitted").iter().map(|v| v.to_bits()).collect()
         };

@@ -1,9 +1,6 @@
-//! Shared helpers for the experiment harness binaries (`exp_*`) and the
-//! micro-benchmarks under `benches/` (driven by the std-only [`harness`]
-//! module). Each binary regenerates one table/figure of EXPERIMENTS.md;
-//! see DESIGN.md §4 for the experiment index.
-
-pub mod harness;
+//! Shared helpers for the experiment binaries (`exp_*`). Each binary
+//! regenerates one table/figure of EXPERIMENTS.md; see DESIGN.md §4 for
+//! the experiment index.
 
 use easytime::{CorpusConfig, Dataset, ModelSpec};
 use easytime_automl::PerfMatrix;

@@ -12,8 +12,8 @@
 //! `easytime` itself depends on) can use it without cycles. The virtual
 //! clock that the original module doc promised now exists: [`ManualClock`]
 //! provides deterministic, test-controlled time that flows through the
-//! same [`Stopwatch`] API as real time, so span-duration tests never
-//! sleep and never flake.
+//! same [`Clock`] API as real time, so span-duration tests never sleep
+//! and never flake.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,7 +61,7 @@ impl Clock {
     }
 
     /// Starts a [`Stopwatch`] reading from this clock.
-    pub fn stopwatch(&self) -> Stopwatch {
+    pub(crate) fn stopwatch(&self) -> Stopwatch {
         Stopwatch { clock: self.clone(), start_ns: self.now_nanos() }
     }
 }
@@ -81,9 +81,9 @@ impl Default for Clock {
 /// use easytime_clock::ManualClock;
 ///
 /// let manual = ManualClock::new();
-/// let sw = manual.clock().stopwatch();
+/// let clock = manual.clock();
 /// manual.advance_millis(250);
-/// assert_eq!(sw.elapsed_ms(), 250.0);
+/// assert_eq!(clock.now_nanos(), 250_000_000);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
@@ -118,11 +118,6 @@ impl ManualClock {
         self.advance_nanos(u64::try_from(by.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Sets virtual time to an absolute nanosecond value.
-    pub fn set_nanos(&self, nanos: u64) {
-        self.nanos.store(nanos, Ordering::SeqCst);
-    }
-
     /// Current virtual time in nanoseconds.
     pub fn now_nanos(&self) -> u64 {
         self.nanos.load(Ordering::SeqCst)
@@ -149,8 +144,8 @@ impl Stopwatch {
     }
 
     /// Elapsed nanoseconds since the stopwatch started (saturating at 0
-    /// if the clock was set backwards, which only a [`ManualClock`] can do).
-    pub fn elapsed_nanos(&self) -> u64 {
+    /// if a manual clock's shared counter was set backwards).
+    fn elapsed_nanos(&self) -> u64 {
         self.clock.now_nanos().saturating_sub(self.start_ns)
     }
 
@@ -164,23 +159,6 @@ impl Stopwatch {
     pub fn elapsed_ms(&self) -> f64 {
         self.elapsed().as_secs_f64() * 1e3
     }
-
-    /// Elapsed time in fractional seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
-}
-
-/// Seconds elapsed since the Unix epoch, for run-stamping in binaries
-/// and reports that want an absolute timestamp.
-///
-/// Returns 0 if the system clock reads before the epoch rather than
-/// failing: a stamp is advisory metadata, never load-bearing.
-pub fn unix_timestamp_secs() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -194,7 +172,6 @@ mod tests {
         let b = sw.elapsed();
         assert!(b >= a);
         assert!(sw.elapsed_ms() >= 0.0);
-        assert!(sw.elapsed_secs() >= 0.0);
     }
 
     #[test]
@@ -221,10 +198,9 @@ mod tests {
 
     #[test]
     fn stopwatch_on_rewound_manual_clock_saturates_at_zero() {
-        let manual = ManualClock::new();
-        manual.set_nanos(5_000);
-        let sw = manual.clock().stopwatch();
-        manual.set_nanos(1_000);
+        let nanos = Arc::new(AtomicU64::new(5_000));
+        let sw = Clock::Manual { nanos: Arc::clone(&nanos) }.stopwatch();
+        nanos.store(1_000, Ordering::SeqCst);
         assert_eq!(sw.elapsed_nanos(), 0);
     }
 
@@ -234,12 +210,5 @@ mod tests {
         let a = clock.now_nanos();
         let b = clock.now_nanos();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn unix_timestamp_is_past_2020() {
-        // 2020-01-01T00:00:00Z — guards against returning the 0 fallback
-        // on a healthy clock.
-        assert!(unix_timestamp_secs() > 1_577_836_800);
     }
 }

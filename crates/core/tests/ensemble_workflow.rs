@@ -7,13 +7,11 @@ use easytime::{
 };
 use easytime_automl::AutoEnsemble;
 use easytime_data::synthetic::{domain_spec, generate};
+use easytime_eval::metrics::{self, MetricContext};
 
+/// sMAPE (%) by the pipeline's own metric; NaN for an empty or misaligned forecast.
 fn smape(pred: &[f64], actual: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for (p, a) in pred.iter().zip(actual) {
-        sum += 2.0 * (a - p).abs() / (a.abs() + p.abs()).max(1e-12);
-    }
-    100.0 * sum / actual.len() as f64
+    MetricContext::new(actual, pred, &[], 1).map_or(f64::NAN, |ctx| metrics::smape(&ctx))
 }
 
 fn fast_config() -> RecommenderConfig {

@@ -145,7 +145,7 @@ pub fn smape(ctx: &MetricContext<'_>) -> f64 {
 }
 
 /// Weighted absolute percentage error (%): Σ|e| / Σ|a|.
-pub fn wape(ctx: &MetricContext<'_>) -> f64 {
+pub(crate) fn wape(ctx: &MetricContext<'_>) -> f64 {
     let num: f64 = ctx.errors().map(f64::abs).sum();
     let den: f64 = ctx.actual.iter().map(|a| a.abs()).sum::<f64>().max(1e-12);
     100.0 * num / den

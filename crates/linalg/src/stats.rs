@@ -63,11 +63,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// Median (0.5 quantile).
-pub fn median(xs: &[f64]) -> Option<f64> {
-    quantile(xs, 0.5)
-}
-
 /// Covariance of two equal-length slices (population normalization).
 ///
 /// # Panics
@@ -242,7 +237,7 @@ mod tests {
         let xs = [3.0, 1.0, 4.0, 1.5, 9.0];
         assert_eq!(min(&xs), Some(1.0));
         assert_eq!(max(&xs), Some(9.0));
-        assert_eq!(median(&xs), Some(3.0));
+        assert_eq!(quantile(&xs, 0.5), Some(3.0));
         assert_eq!(quantile(&xs, 0.0), Some(1.0));
         assert_eq!(quantile(&xs, 1.0), Some(9.0));
         assert_eq!(quantile(&xs, 1.5), None);

@@ -33,7 +33,7 @@ use crate::lexer::TokenKind;
 use crate::locks::{build_index, FnKey};
 use crate::model::{FileModel, FnSummary, ItemKind, WorkspaceModel, NON_CALL_KEYWORDS};
 use crate::resolve::push_allowed;
-use crate::{json_escape, Diagnostic, Rule, Severity};
+use crate::{json_escape, Diagnostic, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -677,28 +677,24 @@ pub(crate) fn check_effects(ws: &WorkspaceModel, table: &EffectTable) -> Vec<Dia
         // an allocating effect from loop position.
         for (target, mark) in hot_targets(f) {
             let Some(s) = target else {
-                let mut d = Diagnostic::new(
+                diags.push(Diagnostic::new(
                     Path::new(&f.path),
                     mark.marker_line,
                     Rule::BadAnnotation,
                     "dangling `lint: hot(…)` marker: no function definition follows it"
                         .to_string(),
-                );
-                d.severity = Severity::Error;
-                diags.push(d);
+                ));
                 continue;
             };
             if alnum_len(&mark.why) < 8 {
-                let mut d = Diagnostic::new(
+                diags.push(Diagnostic::new(
                     Path::new(&f.path),
                     mark.marker_line,
                     Rule::BadAnnotation,
                     "hot-path marker `lint: hot(<why>)` requires a written reason why the \
                      path is latency-critical"
                         .to_string(),
-                );
-                d.severity = Severity::Error;
-                diags.push(d);
+                ));
             }
             if s.in_test {
                 continue;
@@ -709,7 +705,6 @@ pub(crate) fn check_effects(ws: &WorkspaceModel, table: &EffectTable) -> Vec<Dia
                         &mut diags,
                         &f.allows,
                         Rule::HotPathAlloc,
-                        Severity::Error,
                         &f.path,
                         site.line,
                         format!(
@@ -737,7 +732,6 @@ pub(crate) fn check_effects(ws: &WorkspaceModel, table: &EffectTable) -> Vec<Dia
                             &mut diags,
                             &f.allows,
                             Rule::HotPathAlloc,
-                            Severity::Error,
                             &f.path,
                             c.line,
                             format!(
@@ -754,7 +748,6 @@ pub(crate) fn check_effects(ws: &WorkspaceModel, table: &EffectTable) -> Vec<Dia
                             &mut diags,
                             &f.allows,
                             Rule::HotPathAlloc,
-                            Severity::Error,
                             &f.path,
                             c.line,
                             format!(
@@ -814,7 +807,6 @@ pub(crate) fn check_effects(ws: &WorkspaceModel, table: &EffectTable) -> Vec<Dia
                             &mut diags,
                             &f.allows,
                             Rule::SwallowedResult,
-                            Severity::Error,
                             &f.path,
                             d.line,
                             message,
@@ -861,7 +853,6 @@ pub(crate) fn check_effects(ws: &WorkspaceModel, table: &EffectTable) -> Vec<Dia
                             &mut diags,
                             &f.allows,
                             Rule::LockWhileHeavy,
-                            Severity::Error,
                             &f.path,
                             *line,
                             format!(
@@ -1021,6 +1012,22 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, Rule::HotPathAlloc);
         assert!(diags[0].message.contains("build_row"));
+
+        // The `;` of an array return type does not hide the callee's body,
+        // and a `std::` path never resolves to the workspace's `from_fn`.
+        let ws = demo_ws(
+            "pub fn sums(xs: &[f64]) -> [f64; 2] { let v = xs.to_vec(); [v[0], v[1]] }\n\
+             pub fn from_fn(n: usize) -> Vec<f64> { Vec::with_capacity(n) }\n\
+             // lint: hot(steady-state scoring loop for the demo)\n\
+             pub fn hot_loop(xs: &[f64]) {\n\
+             \x20   for _i in 0..4 { sums(xs); }\n\
+             \x20   for _i in 0..4 { let _a: [f64; 3] = std::array::from_fn(|i| xs[i]); }\n\
+             }\n",
+        );
+        let diags = check_effects(&ws, &build_effect_table(&ws));
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, Rule::HotPathAlloc);
+        assert!(diags[0].message.contains("sums"));
     }
 
     #[test]

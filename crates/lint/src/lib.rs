@@ -55,7 +55,7 @@
 //!   any lock held across a call that can reacquire the same lock is an
 //!   error (the deadlock shapes a serving engine must never ship).
 //! * **R17 dead-pub** — a `pub` item in a non-facade crate with zero
-//!   cross-crate uses is a warning: demote it to `pub(crate)`, delete it,
+//!   cross-crate uses is an error: demote it to `pub(crate)`, delete it,
 //!   or annotate with `// lint: allow(dead-pub) — <why>`.
 //!
 //! The **effect rules** (R18–R20) run over per-function control-flow
@@ -346,27 +346,8 @@ pub fn readme_rule_rows() -> String {
     out
 }
 
-/// How serious a diagnostic is. `Error` fails the build; `Warn` is
-/// reported but does not affect the exit code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the build.
-    Error,
-    /// Reported, does not fail the build.
-    Warn,
-}
-
-impl Severity {
-    /// Lower-case name used in text and JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
-/// One violation, anchored to a file and 1-based line.
+/// One violation, anchored to a file and 1-based line. Every diagnostic
+/// fails the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// File the violation is in (workspace-relative where possible).
@@ -375,16 +356,14 @@ pub struct Diagnostic {
     pub line: usize,
     /// Violated rule.
     pub rule: Rule,
-    /// Severity (`Error` unless the rule reports a warning).
-    pub severity: Severity,
     /// Human-readable description.
     pub message: String,
 }
 
 impl Diagnostic {
-    /// Builds a diagnostic with the default (error) severity.
+    /// Builds a diagnostic.
     pub fn new(file: &Path, line: usize, rule: Rule, message: String) -> Diagnostic {
-        Diagnostic { file: file.to_path_buf(), line, rule, severity: Severity::Error, message }
+        Diagnostic { file: file.to_path_buf(), line, rule, message }
     }
 }
 
@@ -676,9 +655,8 @@ fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Renders diagnostics as a JSON array of
-/// `{file, line, rule, allow, severity, message}` records (R10,
-/// `--format json`) for CI artifacts.
+/// Renders diagnostics as a JSON array of `{file, line, rule, allow,
+/// message}` records (R10, `--format json`) for CI artifacts.
 pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[");
     for (i, d) in diags.iter().enumerate() {
@@ -687,12 +665,11 @@ pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
         }
         out.push_str(&format!(
             "\n  {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"allow\": \"{}\", \
-             \"severity\": \"{}\", \"message\": \"{}\"}}",
+             \"message\": \"{}\"}}",
             json_escape(&d.file.display().to_string().replace('\\', "/")),
             d.line,
             d.rule.code(),
             d.rule.allow_name(),
-            d.severity.as_str(),
             json_escape(&d.message)
         ));
     }
@@ -809,6 +786,10 @@ mod tests {
                    \x20   Ok(x)\n\
                    }\n";
         assert_eq!(rules_of(&lint_rust_source(&lib_path(), bad)), vec![Rule::TypedError]);
+        // The `;` of an array parameter does not end the signature.
+        let array = "/// Documented.\n\
+                     pub fn f(x: [u8; 4]) -> Result<u8, Box<dyn std::error::Error>> { Ok(x[0]) }\n";
+        assert_eq!(rules_of(&lint_rust_source(&lib_path(), array)), vec![Rule::TypedError]);
         let good = "/// Documented.\n\
                     pub fn f() -> Result<u32, DemoError> { Ok(1) }\n\
                     fn private() -> Result<u32, Box<dyn std::error::Error>> { Ok(1) }\n";
@@ -978,7 +959,6 @@ mod tests {
         assert!(json.trim_end().ends_with(']'));
         assert!(json.contains("\"rule\": \"R6\""));
         assert!(json.contains("\"allow\": \"float-ordering\""));
-        assert!(json.contains("\"severity\": \"error\""));
         assert!(json.contains("\\\"quotes\\\""));
         assert!(json.contains("\\n"));
         assert_eq!(diagnostics_to_json(&[]), "[]\n");

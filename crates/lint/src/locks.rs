@@ -26,7 +26,7 @@
 
 use crate::model::{FnSummary, WorkspaceModel};
 use crate::resolve::push_allowed;
-use crate::{Diagnostic, Rule, Severity};
+use crate::{Diagnostic, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A lock identity rendered as `crate.field`.
@@ -211,7 +211,6 @@ pub fn check_locks(ws: &WorkspaceModel, graph: &LockGraph) -> Vec<Diagnostic> {
                             &mut diags,
                             &f.allows,
                             Rule::LockDiscipline,
-                            Severity::Error,
                             &f.path,
                             *line,
                             format!(
@@ -236,7 +235,6 @@ pub fn check_locks(ws: &WorkspaceModel, graph: &LockGraph) -> Vec<Diagnostic> {
                             &mut diags,
                             &f.allows,
                             Rule::LockDiscipline,
-                            Severity::Error,
                             &f.path,
                             *line,
                             format!(
@@ -272,7 +270,7 @@ pub fn check_locks(ws: &WorkspaceModel, graph: &LockGraph) -> Vec<Diagnostic> {
             .cloned()
             .unwrap_or_else(|| ("<unknown>".to_string(), 1));
         let names = component.join(" -> ");
-        let mut d = Diagnostic::new(
+        diags.push(Diagnostic::new(
             std::path::Path::new(&site.0),
             site.1,
             Rule::LockDiscipline,
@@ -280,9 +278,7 @@ pub fn check_locks(ws: &WorkspaceModel, graph: &LockGraph) -> Vec<Diagnostic> {
                 "lock-order cycle between {{{names}}}: two threads taking these locks in \
                  different orders can deadlock; impose one global acquisition order"
             ),
-        );
-        d.severity = Severity::Error;
-        diags.push(d);
+        ));
     }
     diags
 }

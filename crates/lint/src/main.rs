@@ -10,14 +10,14 @@
 //! `--api-baseline` is given — and the effect rules R18–R20) run on the
 //! same path-sorted source set. `--semantic-out` writes the semantic size
 //! stats as JSON; `--effects-out` writes the closed per-function effect
-//! table. Exits non-zero iff any diagnostic has `error` severity.
+//! table. Exits non-zero iff it reports any diagnostic.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use easytime_lint::{
     analyze_workspace, api, collect_workspace_sources, diagnostics_to_json, lint_sources, model,
-    rule_doc, semantic_stats_to_json, workspace_effect_table_json, Severity,
+    rule_doc, semantic_stats_to_json, workspace_effect_table_json,
 };
 
 enum Format {
@@ -200,13 +200,7 @@ fn main() -> ExitCode {
 
     let rendered = match opts.format {
         Format::Json => diagnostics_to_json(&diags),
-        Format::Text => {
-            let mut out = String::new();
-            for d in &diags {
-                out.push_str(&format!("{} [{}]\n", d, d.severity.as_str()));
-            }
-            out
-        }
+        Format::Text => diags.iter().map(|d| format!("{d}\n")).collect(),
     };
     match &opts.out {
         Some(path) => {
@@ -218,12 +212,10 @@ fn main() -> ExitCode {
         None => print!("{rendered}"),
     }
 
-    let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
-    let warns = diags.len() - errors;
-    eprintln!("easytime-lint: checked {checked} files: {errors} error(s), {warns} warning(s)");
-    if errors > 0 {
-        ExitCode::FAILURE
-    } else {
+    eprintln!("easytime-lint: checked {checked} files: {} error(s)", diags.len());
+    if diags.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -610,8 +610,11 @@ fn parse_item(sf: &SourceFile<'_>, k: usize) -> Parsed {
             if name.is_empty() {
                 return Parsed::None;
             }
-            // Header runs to the body `{` or a `;` (trait method decl).
+            // Header runs to the body `{` or a `;` (trait method decl). Only
+            // a `;` outside parens and brackets ends it: the one in an array
+            // type (`[f64; N]`) is part of the signature.
             let mut m = j + 1;
+            let mut depth = 0usize;
             let (mut body, mut next, mut sig_end) = (None, j + 2, j + 2);
             while sf.ct(m).is_some() && m < j + 600 {
                 if sf.is_punct(m, '{') {
@@ -621,7 +624,11 @@ fn parse_item(sf: &SourceFile<'_>, k: usize) -> Parsed {
                     next = close.map_or(m + 1, |c| c + 1);
                     break;
                 }
-                if sf.is_punct(m, ';') {
+                if sf.is_punct(m, '(') || sf.is_punct(m, '[') {
+                    depth += 1;
+                } else if sf.is_punct(m, ')') || sf.is_punct(m, ']') {
+                    depth = depth.saturating_sub(1);
+                } else if depth == 0 && sf.is_punct(m, ';') {
                     sig_end = m;
                     next = m + 1;
                     break;
@@ -852,7 +859,8 @@ fn scan_fn_body(sf: &SourceFile<'_>, open: usize, close: usize, out: &mut FnSumm
         }
         let name = norm_ident(t.text(sf.src));
         let in_loop = sketch.in_loop(q);
-        let is_call = sf.is_punct(q + 1, '(') && !NON_CALL_KEYWORDS.contains(&name);
+        let is_call =
+            sf.is_punct(q + 1, '(') && !NON_CALL_KEYWORDS.contains(&name) && !is_std_path(sf, q);
         if is_call {
             out.calls.insert(name.to_string());
             out.call_sites.push(CallSite { name: name.to_string(), line: t.line, in_loop });
@@ -879,7 +887,10 @@ fn scan_fn_body(sf: &SourceFile<'_>, open: usize, close: usize, out: &mut FnSumm
             let Some(u) = sf.ct(p) else { break };
             if u.kind == TokenKind::Ident {
                 let uname = norm_ident(u.text(sf.src));
-                if sf.is_punct(p + 1, '(') && !NON_CALL_KEYWORDS.contains(&uname) {
+                if sf.is_punct(p + 1, '(')
+                    && !NON_CALL_KEYWORDS.contains(&uname)
+                    && !is_std_path(sf, p)
+                {
                     held_calls.push((uname.to_string(), u.line));
                 }
                 if let Some((nested, _)) = acquisition_at(sf, p) {
@@ -890,6 +901,20 @@ fn scan_fn_body(sf: &SourceFile<'_>, open: usize, close: usize, out: &mut FnSumm
         }
         out.acquires.push(Acquisition { target, line: t.line, held_calls, held_acquires });
     }
+}
+
+/// True when the identifier at code index `q` ends a path rooted in the
+/// standard library (`std::array::from_fn`): such a call never resolves to
+/// the workspace function that shares its name (`Matrix::from_fn`).
+fn is_std_path(sf: &SourceFile<'_>, q: usize) -> bool {
+    let mut head = q;
+    while head >= 3
+        && sf.is_punct_seq(head - 2, "::")
+        && sf.ct(head - 3).is_some_and(|t| t.kind == TokenKind::Ident)
+    {
+        head -= 3;
+    }
+    head != q && matches!(sf.ctext(head), "std" | "core" | "alloc")
 }
 
 /// When code index `q` is a lock-acquiring call (`recv.lock()` or

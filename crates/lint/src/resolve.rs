@@ -3,13 +3,13 @@
 //! **R15 crate-layering** enforces the declared layer policy against the
 //! real Cargo dependency graph *and* against `easytime_*::` path tokens in
 //! library code, so both manifest drift and path-qualified back-doors are
-//! caught. **R17 dead-pub** warns on `pub` items in non-facade crates that
+//! caught. **R17 dead-pub** rejects `pub` items in non-facade crates that
 //! no other crate (and none of the defining crate's own bins/tests/benches)
 //! ever mentions.
 
 use crate::engine::AllowMark;
 use crate::model::{ItemKind, Vis, WorkspaceModel};
-use crate::{Diagnostic, Rule, Severity};
+use crate::{Diagnostic, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -145,7 +145,6 @@ pub fn check_layering(ws: &WorkspaceModel) -> Vec<Diagnostic> {
                     &mut diags,
                     &f.allows,
                     Rule::CrateLayering,
-                    Severity::Error,
                     &f.path,
                     r.line,
                     format!(
@@ -282,7 +281,6 @@ pub fn check_dead_pub(ws: &WorkspaceModel) -> Vec<Diagnostic> {
                 &mut diags,
                 &f.allows,
                 Rule::DeadPub,
-                Severity::Warn,
                 &f.path,
                 item.line,
                 format!(
@@ -306,7 +304,6 @@ pub(crate) fn push_allowed(
     diags: &mut Vec<Diagnostic>,
     allows: &[AllowMark],
     rule: Rule,
-    severity: Severity,
     path: &str,
     line: usize,
     message: String,
@@ -323,9 +320,7 @@ pub(crate) fn push_allowed(
         }
         return;
     }
-    let mut d = Diagnostic::new(Path::new(path), line, rule, message);
-    d.severity = severity;
-    diags.push(d);
+    diags.push(Diagnostic::new(Path::new(path), line, rule, message));
 }
 
 #[cfg(test)]
@@ -459,7 +454,6 @@ mod tests {
         let diags = check_dead_pub(&model);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, Rule::DeadPub);
-        assert_eq!(diags[0].severity, Severity::Warn);
         assert!(diags[0].message.contains("orphan_helper"));
     }
 

@@ -257,14 +257,21 @@ fn boxed_error_fn(sf: &SourceFile<'_>, k: usize) -> Option<String> {
     if !sf.is_ident(j, "fn") {
         return None;
     }
-    // Scan the signature up to the body `{` or a `;`.
+    // Scan the signature up to the body `{` or a `;` outside parens and
+    // brackets (an array type's `;` is part of the signature).
     let mut arrow = None;
     let mut end = j + 1;
     let mut m = j + 1;
+    let mut depth = 0usize;
     while sf.ct(m).is_some() && m < j + 400 {
-        if sf.is_punct(m, '{') || sf.is_punct(m, ';') {
+        if sf.is_punct(m, '{') || (depth == 0 && sf.is_punct(m, ';')) {
             end = m;
             break;
+        }
+        if sf.is_punct(m, '(') || sf.is_punct(m, '[') {
+            depth += 1;
+        } else if sf.is_punct(m, ')') || sf.is_punct(m, ']') {
+            depth = depth.saturating_sub(1);
         }
         if sf.is_punct_seq(m, "->") {
             arrow = Some(m);

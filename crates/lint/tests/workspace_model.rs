@@ -386,7 +386,6 @@ fn r14_to_r20_are_documented_and_render_uniformly() {
         assert!(json.contains(&format!("\"rule\": \"{code}\"")), "{json}");
         let allow = doc.map_or("", |d| d.allow);
         assert!(json.contains(&format!("\"allow\": \"{allow}\"")), "{json}");
-        assert!(json.contains("\"severity\": \"error\""), "{json}");
     }
 }
 

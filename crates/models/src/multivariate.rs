@@ -3,12 +3,12 @@
 //! TFB's corpus includes 25 multivariate datasets; the Correlation
 //! characteristic only matters to methods that can exploit cross-channel
 //! structure. [`Var`] fits one ridge-regularized equation per channel on the
-//! lagged values of *all* channels, and a [`ChannelIndependent`] wrapper
-//! runs any univariate zoo member per channel as the baseline that ignores
+//! lagged values of *all* channels, and [`MultiModelSpec::PerChannel`] runs
+//! any univariate zoo member per channel as the baseline that ignores
 //! correlation.
 
 use crate::{check_horizon, Forecaster, ModelError, Result};
-use easytime_data::{MultiSeries, TimeSeries};
+use easytime_data::MultiSeries;
 use easytime_linalg::kernels::dot;
 use easytime_linalg::{ridge, Matrix};
 
@@ -154,21 +154,21 @@ impl MultiModelSpec {
             MultiModelSpec::PerChannel(spec) => {
                 let spec = spec.clone();
                 let name = self.name();
-                Box::new(DynChannelIndependent { spec, name, fitted: Vec::new() })
+                Box::new(ChannelIndependent { spec, name, fitted: Vec::new() })
             }
         })
     }
 }
 
-/// Channel-independent wrapper over a boxed zoo member (object-safe
-/// variant of [`ChannelIndependent`], used by [`MultiModelSpec`]).
-struct DynChannelIndependent {
+/// Runs an independent copy of a univariate zoo member on every channel —
+/// the "channel-independent" baseline that ignores cross-correlation.
+struct ChannelIndependent {
     spec: crate::ModelSpec,
     name: String,
     fitted: Vec<Box<dyn Forecaster>>,
 }
 
-impl MultiForecaster for DynChannelIndependent {
+impl MultiForecaster for ChannelIndependent {
     fn name(&self) -> &str {
         &self.name
     }
@@ -193,60 +193,10 @@ impl MultiForecaster for DynChannelIndependent {
     }
 }
 
-/// Runs an independent copy of a univariate forecaster on every channel —
-/// the "channel-independent" baseline that ignores cross-correlation.
-// lint: allow(dead-pub) — channel-independent multivariate strategy kept exported for the zoo's next milestone
-pub struct ChannelIndependent<F> {
-    make: Box<dyn Fn() -> F + Send>,
-    name: String,
-    fitted: Vec<F>,
-}
-
-impl<F> std::fmt::Debug for ChannelIndependent<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChannelIndependent")
-            .field("name", &self.name)
-            .field("channels", &self.fitted.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<F: Forecaster> ChannelIndependent<F> {
-    /// Creates the wrapper from a factory closure for the inner method.
-    pub fn new(name: impl Into<String>, make: impl Fn() -> F + Send + 'static) -> Self {
-        ChannelIndependent { make: Box::new(make), name: name.into(), fitted: Vec::new() }
-    }
-}
-
-impl<F: Forecaster> MultiForecaster for ChannelIndependent<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn fit(&mut self, train: &MultiSeries) -> Result<()> {
-        let mut fitted = Vec::with_capacity(train.num_channels());
-        for ch in 0..train.num_channels() {
-            let series: TimeSeries = train.to_univariate(ch)?;
-            let mut model = (self.make)();
-            model.fit(&series)?;
-            fitted.push(model);
-        }
-        self.fitted = fitted;
-        Ok(())
-    }
-
-    fn forecast(&self, horizon: usize) -> Result<Vec<Vec<f64>>> {
-        if self.fitted.is_empty() {
-            return Err(ModelError::NotFitted);
-        }
-        self.fitted.iter().map(|m| m.forecast(horizon)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::Naive;
+    use crate::ModelSpec;
     use easytime_data::Frequency;
 
     /// Two channels where channel 1 lags channel 0 by one step — pure
@@ -304,7 +254,8 @@ mod tests {
     #[test]
     fn channel_independent_wraps_univariate_models() {
         let ms = coupled_series(60);
-        let mut ci = ChannelIndependent::new("ci_naive", Naive::new);
+        let spec = MultiModelSpec::PerChannel(ModelSpec::Naive);
+        let mut ci = spec.build().unwrap();
         ci.fit(&ms).unwrap();
         let f = ci.forecast(3).unwrap();
         assert_eq!(f.len(), 2);
@@ -313,7 +264,7 @@ mod tests {
         assert!((f[1][2] - ms.channel(1)[59]).abs() < 1e-12);
         assert_eq!(ci.name(), "ci_naive");
 
-        let unfitted: ChannelIndependent<Naive> = ChannelIndependent::new("x", Naive::new);
+        let unfitted = spec.build().unwrap();
         assert!(matches!(unfitted.forecast(1), Err(ModelError::NotFitted)));
     }
 }

@@ -68,7 +68,7 @@ mod span;
 pub use alloc_count::CountingAlloc;
 pub use event::{EventRecord, Level};
 pub use json::fnv1a_hex;
-pub use metrics::{Histogram, LOG2_BUCKETS};
+pub use metrics::Histogram;
 pub use profile::{
     render_profile_json, render_profile_txt, Profile, StageProfile, PROFILE_SCHEMA_VERSION,
 };
@@ -159,32 +159,12 @@ pub fn observe(name: &str, value: f64) {
     recorder::observe(name, metrics::DEFAULT_LATENCY_BOUNDS_MS, value);
 }
 
-/// Records `value` into histogram `name` with explicit bucket upper
-/// `bounds` (ascending). The bounds passed on the histogram's first sample
-/// win; later calls with different bounds still record into the existing
-/// buckets.
-// lint: allow(dead-pub) — histogram entry point with caller-chosen bounds; part of the sanctioned output surface
-pub fn observe_with(name: &str, bounds: &[f64], value: f64) {
-    recorder::observe(name, bounds, value);
-}
-
-/// Records a structured event at `level`, attached to the innermost open
-/// span on this thread.
-// lint: allow(dead-pub) — the structured-diagnostics entry point library output routes through
-pub fn event(level: Level, target: &str, message: &str) {
-    recorder::event(level, target, message);
-}
-
 // lint: hot(diagnostic event emit reachable from the window loop; allocation-free with tracing off, pinned by obs/tests/no_alloc.rs)
-/// [`event`] at [`Level::Warn`] — the replacement for diagnostic
-/// `eprintln!` in library code.
+/// Records a structured event at [`Level::Warn`], attached to the innermost
+/// open span on this thread — the replacement for diagnostic `eprintln!`
+/// in library code.
 pub fn warn(target: &str, message: &str) {
     recorder::event(Level::Warn, target, message);
-}
-
-/// [`event`] at [`Level::Info`].
-pub fn info(target: &str, message: &str) {
-    recorder::event(Level::Info, target, message);
 }
 
 /// Sets a run-manifest entry (config hash, seed, dataset count, …).
@@ -222,13 +202,4 @@ pub fn reset() {
 pub fn flush(dir: &Path) -> std::io::Result<FlushPaths> {
     let data = drain();
     sink::write_files(dir, &data)
-}
-
-/// [`flush`], but a silent no-op when tracing is disabled.
-pub fn flush_if_enabled(dir: &Path) -> std::io::Result<Option<FlushPaths>> {
-    if enabled() {
-        flush(dir).map(Some)
-    } else {
-        Ok(None)
-    }
 }

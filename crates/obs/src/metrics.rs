@@ -15,8 +15,7 @@ pub(crate) const DEFAULT_LATENCY_BOUNDS_MS: &[f64] =
 /// Number of buckets in the [`Histogram::log2`] layout: powers of two from
 /// 2^0 ns up to 2^63 ns (≈292 years), covering nanoseconds → minutes with
 /// one bucket per doubling.
-// lint: allow(dead-pub) — the documented layout constant of the log2 duration histogram; consumers size merge buffers against it
-pub const LOG2_BUCKETS: usize = 64;
+pub(crate) const LOG2_BUCKETS: usize = 64;
 
 /// A fixed-bucket histogram with explicit overflow and invalid counters.
 ///
@@ -46,11 +45,11 @@ impl Histogram {
         Histogram { bounds: clean, counts: vec![0; n], overflow: 0, invalid: 0, total: 0, sum_finite: 0.0 }
     }
 
-    /// The log2 duration layout: [`LOG2_BUCKETS`] buckets whose upper
-    /// bounds are exact powers of two in nanoseconds (`2^0 … 2^63`). This
-    /// is the layout span durations are auto-recorded into, and the one the
-    /// serving engine's latency quantiles will reuse: every histogram built
-    /// here has an identical layout, so cross-thread merges are always
+    /// The log2 duration layout: 64 buckets whose upper bounds are exact
+    /// powers of two in nanoseconds (`2^0 … 2^63`). This is the layout
+    /// span durations are auto-recorded into, and the one the serving
+    /// engine's latency quantiles will reuse: every histogram built here
+    /// has an identical layout, so cross-thread merges are always
     /// elementwise and quantiles are exact regardless of merge order.
     pub fn log2() -> Histogram {
         // Powers of two are exact in f64 up to well beyond 2^63.

@@ -3,8 +3,8 @@
 //!
 //! Mirrors the paper's offline/online split (§II-C): [`Embedder::fit`] runs
 //! once over the offline pretraining corpus (computing the normalization
-//! statistics), then [`Embedder::embed`] maps any new series into the same
-//! space during online inference.
+//! statistics), then [`Embedder::embed_into`] maps any new series into the
+//! same space during online inference.
 
 use crate::features::{extract_features_into, FEATURE_DIM};
 use crate::rocket::RocketEncoder;
@@ -134,14 +134,9 @@ impl Embedder {
         }
     }
 
-    /// Online phase: embeds a new series with the corpus-fitted
-    /// normalization. Falls back to the raw embedding when unfitted (useful
-    /// for similarity queries that only need relative geometry).
-    ///
-    /// Allocates the result (and a scratch) per call; loops should hold an
-    /// [`EmbedScratch`] and an output buffer and call
-    /// [`Embedder::embed_into`] instead.
-    pub fn embed(&self, series: &TimeSeries) -> Vec<f64> {
+    /// [`Embedder::embed_into`] into a fresh buffer (test diagnostics).
+    #[cfg(test)]
+    pub(crate) fn embed(&self, series: &TimeSeries) -> Vec<f64> {
         let mut scratch = EmbedScratch::new();
         let mut out = Vec::with_capacity(self.dim());
         self.embed_into(series, &mut scratch, &mut out);
@@ -149,7 +144,10 @@ impl Embedder {
     }
 
     // lint: hot(steady-state embedding entry; allocation-free once buffers are warm, pinned by repr/tests/no_alloc_embed.rs)
-    /// Embeds a series into `out` (cleared first), reusing `scratch`.
+    /// Online phase: embeds a series into `out` (cleared first), reusing
+    /// `scratch`, with the corpus-fitted normalization. Falls back to the
+    /// raw embedding when unfitted (useful for similarity queries that only
+    /// need relative geometry).
     ///
     /// With kernel-only features (`use_stats: false`) the steady state
     /// performs zero allocations once the buffers have grown to capacity —

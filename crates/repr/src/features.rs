@@ -8,11 +8,11 @@
 use easytime_data::characteristics::extract_values;
 use easytime_linalg::stats::{acf, kurtosis, mean, skewness, std_dev};
 
-/// Number of features produced by [`extract_features`].
+/// Number of features produced by [`extract_features_into`].
 pub(crate) const FEATURE_DIM: usize = 16;
 
-/// Names of the features, aligned with [`extract_features`] output (test
-/// diagnostics).
+/// Names of the features, aligned with [`extract_features_into`] output
+/// (test diagnostics).
 #[cfg(test)]
 pub(crate) const FEATURE_NAMES: [&str; FEATURE_DIM] = [
     "cv",
@@ -33,20 +33,14 @@ pub(crate) const FEATURE_NAMES: [&str; FEATURE_DIM] = [
     "period_norm",
 ];
 
-/// Extracts the canonical feature vector from raw series values.
+/// Appends the canonical feature vector of raw series values to `out`
+/// without allocating the result vector (internal characteristic
+/// extraction still allocates; the kernel-feature path is the one pinned
+/// allocation-free).
 ///
 /// All features are level/scale-free (the coefficient of variation is the
 /// only one that sees the mean, deliberately), so they compose with the
 /// z-normalized kernel features.
-pub fn extract_features(values: &[f64], period_hint: Option<usize>) -> Vec<f64> {
-    let mut out = Vec::with_capacity(FEATURE_DIM);
-    extract_features_into(values, period_hint, &mut out);
-    out
-}
-
-/// Appends the canonical feature vector to `out` without allocating the
-/// result vector (internal characteristic extraction still allocates; the
-/// kernel-feature path is the one pinned allocation-free).
 pub(crate) fn extract_features_into(values: &[f64], period_hint: Option<usize>, out: &mut Vec<f64>) {
     let n = values.len();
     let mu = mean(values);
@@ -115,6 +109,12 @@ mod tests {
                 (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
             })
             .collect()
+    }
+
+    fn extract_features(values: &[f64], period_hint: Option<usize>) -> Vec<f64> {
+        let mut out = Vec::with_capacity(FEATURE_DIM);
+        extract_features_into(values, period_hint, &mut out);
+        out
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`rocket`] — ROCKET-style random dilated convolution kernels with
 //!   PPV/max pooling (Dempster et al.), an established stand-in for learned
 //!   TS representations.
-//! * [`features`] — a canonical statistical feature vector (moments,
+//! * `features` — a canonical statistical feature vector (moments,
 //!   autocorrelation structure, and the six TFB characteristics).
 //! * [`encoder`] — the [`encoder::Embedder`] that concatenates
 //!   both, z-normalized per dimension with statistics fitted on the
@@ -19,7 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod encoder;
-pub mod features;
+mod features;
 pub mod rocket;
 
 pub use encoder::{EmbedScratch, Embedder, EmbedderConfig};

@@ -19,6 +19,5 @@ run exp_leaderboard --per-domain 4 --length 300
 run exp_ensemble --per-domain 6 --length 280 --k 3
 run exp_recommend --per-domain 6 --length 280
 run exp_qa --per-domain 3
-run exp_throughput --length 300
 run exp_multivariate --n 8
 ./target/release/exp_ablation all | tee results/exp_ablation.txt
