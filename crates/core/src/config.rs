@@ -40,16 +40,12 @@ pub enum DatasetSelection {
 }
 
 impl DatasetSelection {
-    /// Applies the selection to a registry snapshot.
-    pub fn filter(&self, datasets: Vec<Dataset>) -> Vec<Dataset> {
+    /// True when the selection includes `dataset`.
+    pub fn matches(&self, dataset: &Dataset) -> bool {
         match self {
-            DatasetSelection::All => datasets,
-            DatasetSelection::Ids(ids) => {
-                datasets.into_iter().filter(|d| ids.contains(&d.meta.id)).collect()
-            }
-            DatasetSelection::Domain(domain) => {
-                datasets.into_iter().filter(|d| d.meta.domain == *domain).collect()
-            }
+            DatasetSelection::All => true,
+            DatasetSelection::Ids(ids) => ids.contains(&dataset.meta.id),
+            DatasetSelection::Domain(domain) => dataset.meta.domain == *domain,
         }
     }
 }
@@ -234,6 +230,7 @@ pub fn parse_config(text: &str) -> Result<FileConfig, EasyTimeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easytime_data::{Frequency, TimeSeries};
 
     #[test]
     fn empty_object_gives_full_defaults() {
@@ -285,6 +282,17 @@ mod tests {
         assert_eq!(ids2.datasets, DatasetSelection::Ids(vec!["x".into()]));
         let all = parse_config(r#"{"datasets": "all"}"#).unwrap();
         assert_eq!(all.datasets, DatasetSelection::All);
+        let web = parse_config(r#"{"datasets": {"domain": "web"}}"#).unwrap();
+
+        let dataset = |id: &str, domain| {
+            let series = TimeSeries::new(id, vec![1.0; 8], Frequency::Daily);
+            Dataset::from_univariate(id, domain, series.unwrap())
+        };
+        let (a, x) = (dataset("a", Domain::Web), dataset("x", Domain::Stock));
+        assert!(all.datasets.matches(&a) && ids.datasets.matches(&a) && web.datasets.matches(&a));
+        assert!(!ids2.datasets.matches(&a));
+        assert!(all.datasets.matches(&x) && ids2.datasets.matches(&x));
+        assert!(!ids.datasets.matches(&x) && !web.datasets.matches(&x));
     }
 
     #[test]
@@ -297,6 +305,18 @@ mod tests {
         assert!(parse_config(r#"{"refit": "sometimes"}"#).is_err());
         assert!(parse_config(r#"{"datasets": {"domain": "space"}}"#).is_err());
         assert!(parse_config("not json").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_config_error_not_a_stack_overflow() {
+        for text in ["[".repeat(100_000), format!("{{\"methods\": {}", "[".repeat(100_000))] {
+            match parse_config(&text) {
+                Err(EasyTimeError::Config { reason }) => {
+                    assert!(reason.contains("nested deeper than"), "{reason}");
+                }
+                other => panic!("expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

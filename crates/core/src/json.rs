@@ -46,7 +46,7 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = JsonParser { bytes: text.as_bytes(), text, pos: 0 };
+        let mut p = JsonParser { bytes: text.as_bytes(), text, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -171,10 +171,18 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts (serde_json's
+/// default recursion limit). The parser recurses once per level, so without
+/// a cap a few thousand `[` overflow the stack and abort the process; a
+/// configuration file needs three levels.
+const MAX_DEPTH: usize = 128;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around the current byte.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -215,8 +223,8 @@ impl<'a> JsonParser<'a> {
     fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -224,6 +232,21 @@ impl<'a> JsonParser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] levels; the error points at the refused bracket.
+    fn nested(
+        &mut self,
+        rule: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let parsed = rule(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -475,6 +498,27 @@ mod tests {
             let text = v.to_string();
             let back = Json::parse(&text).expect("input parses as JSON");
             assert_eq!(back, v, "round-trip failed for {text}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_typed_error_at_the_refused_bracket() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", r#"{"k":"#.repeat(n), "}".repeat(n));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        assert_eq!(Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err().position, MAX_DEPTH);
+        assert_eq!(Json::parse(&objects(MAX_DEPTH + 1)).unwrap_err().position, 5 * MAX_DEPTH);
+        // 100,000 levels, on the default test-thread stack. Each text
+        // refuses bracket number MAX_DEPTH + 1.
+        for (text, refused_at) in [
+            ("[".repeat(100_000), MAX_DEPTH),
+            (r#"{"k":"#.repeat(100_000), 5 * MAX_DEPTH),
+            (r#"[{"k":"#.repeat(50_000), 6 * MAX_DEPTH / 2),
+        ] {
+            let err = Json::parse(&text).unwrap_err();
+            assert_eq!(err.position, refused_at, "{err}");
+            assert_eq!(err.message, format!("nested deeper than {MAX_DEPTH} levels"));
         }
     }
 

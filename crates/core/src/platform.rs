@@ -142,7 +142,7 @@ impl EasyTime {
     /// Runs the pipeline over the selected datasets, appends the records
     /// to the run log, and materializes them in the knowledge base.
     pub fn one_click(&self, config: &FileConfig) -> Result<Vec<EvalRecord>, EasyTimeError> {
-        let datasets = config.datasets.filter(self.registry.all());
+        let datasets = self.registry.filter(|d| config.datasets.matches(d));
         if datasets.is_empty() {
             return Err(EasyTimeError::Config {
                 reason: "the dataset selection matches no registered datasets".into(),
@@ -179,8 +179,10 @@ impl EasyTime {
         Ok(self.log.leaderboard(metric, lower))
     }
 
-    /// Snapshot of the knowledge database (cheap enough at benchmark
-    /// scale; keeps Q&A sessions isolated from later writes).
+    /// Snapshot of the knowledge database. It shares every table and index
+    /// with the platform copy-on-write, so it costs O(tables), not O(rows);
+    /// later platform writes copy what they touch and stay invisible to
+    /// the snapshot, which keeps Q&A sessions isolated.
     pub fn knowledge_snapshot(&self) -> Database {
         self.knowledge_guard().clone()
     }

@@ -154,3 +154,45 @@ fn verification_blocks_malicious_sql_paths() {
         .is_err());
     assert!(platform.query_knowledge("SELECT COUNT(*) AS n FROM results").is_ok());
 }
+
+#[test]
+fn sessions_keep_the_knowledge_they_opened_on() {
+    let (platform, mut records) = evaluated_platform();
+    let question = "What are the top 5 methods ordered by MAE for short-term forecasting?";
+    let count = "SELECT COUNT(*) AS n FROM results";
+    let mut before = platform.qa_session().unwrap();
+    let first = before.ask(question).unwrap();
+    let rows_before = before.database().query(count).unwrap();
+
+    // The platform's next write copies the tables the session shares; the
+    // session must not see it. The new short-horizon runs include a method
+    // no earlier run used.
+    let added = platform
+        .one_click_json(
+            r#"{"methods": ["naive", "mean", "drift"],
+                "strategy": {"type": "fixed", "horizon": 12}}"#,
+        )
+        .unwrap();
+    records.extend(added.iter().cloned());
+
+    before.reset();
+    let again = before.ask(question).unwrap();
+    assert_eq!(
+        (&again.sql, &again.plan, &again.table, &again.answer, &again.chart),
+        (&first.sql, &first.plan, &first.table, &first.answer, &first.chart)
+    );
+    assert_eq!(before.database().query(count).unwrap(), rows_before);
+
+    let mut after = platform.qa_session().unwrap();
+    let fresh = after.ask(question).unwrap();
+    let truth = mean_by_method(&records, "mae", |r| r.horizon <= 24);
+    assert_eq!(fresh.table.rows.len(), 5);
+    for (row, (method, mean)) in fresh.table.rows.iter().zip(&truth) {
+        assert_eq!(&row[0].to_string(), method, "ranking order mismatch");
+        let got = row[1].as_f64().unwrap();
+        assert!((got - mean).abs() < 1e-9, "{method}: {got} vs {mean}");
+    }
+    assert_ne!(fresh.table, first.table, "the new runs change the ranking's scores");
+    let n = |r: &easytime::QueryResult| r.rows[0][0].as_f64().unwrap() as usize;
+    assert_eq!(n(&after.database().query(count).unwrap()), n(&rows_before) + added.len());
+}

@@ -9,6 +9,7 @@ use crate::plan;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A table: schema plus row storage.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,13 +84,19 @@ impl QueryResult {
 }
 
 /// An in-memory SQL database.
+///
+/// Clones share storage copy-on-write: every table and index sits behind an
+/// `Arc` and is written through `Arc::make_mut`, so a clone costs
+/// O(tables + indexes), and a write copies one table or index only while
+/// another clone still holds it. A clone is still a value: it never sees
+/// another clone's writes.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    tables: BTreeMap<String, Table>,
+    tables: BTreeMap<String, Arc<Table>>,
     /// Secondary indexes by (lowercased) index name. A `BTreeMap` so the
     /// planner's candidate enumeration order — and therefore every plan and
     /// explain — is independent of index-creation order.
-    indexes: BTreeMap<String, Index>,
+    indexes: BTreeMap<String, Arc<Index>>,
 }
 
 impl Database {
@@ -104,7 +111,7 @@ impl Database {
         if self.tables.contains_key(&name) {
             return Err(DbError::DuplicateTable { name });
         }
-        self.tables.insert(name.clone(), Table { name, schema, rows: Vec::new() });
+        self.tables.insert(name.clone(), Arc::new(Table { name, schema, rows: Vec::new() }));
         Ok(())
     }
 
@@ -112,17 +119,20 @@ impl Database {
     /// maintains every secondary index on the table.
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<(), DbError> {
         let key = table.to_ascii_lowercase();
-        let t = self
+        let shared = self
             .tables
             .get_mut(&key)
             .ok_or_else(|| DbError::UnknownTable { name: table.to_string() })?;
-        let coerced = t.schema.coerce_row(row)?;
+        // Coerce before `make_mut`, so a rejected row never copies a
+        // shared table.
+        let coerced = shared.schema.coerce_row(row)?;
+        let t = Arc::make_mut(shared);
         let row_id = t.rows.len();
         t.rows.push(coerced);
         if let Some(row_ref) = t.rows.last() {
             for ix in self.indexes.values_mut() {
                 if ix.table() == key.as_str() {
-                    ix.insert_row(row_id, row_ref);
+                    Arc::make_mut(ix).insert_row(row_id, row_ref);
                 }
             }
         }
@@ -161,26 +171,27 @@ impl Database {
         for (row_id, row) in t.rows.iter().enumerate() {
             ix.insert_row(row_id, row);
         }
-        self.indexes.insert(name, ix);
+        self.indexes.insert(name, Arc::new(ix));
         Ok(())
     }
 
     /// Looks a secondary index up by (case-insensitive) name.
     pub fn index(&self, name: &str) -> Option<&Index> {
-        self.indexes.get(&name.to_ascii_lowercase())
+        self.indexes.get(&name.to_ascii_lowercase()).map(Arc::as_ref)
     }
 
     /// All indexes over `table` (real, lowercased name), in index-name
     /// order — the planner's deterministic candidate order.
     pub(crate) fn indexes_for(&self, table: &str) -> impl Iterator<Item = &Index> {
         let table = table.to_ascii_lowercase();
-        self.indexes.values().filter(move |ix| ix.table() == table)
+        self.indexes.values().map(Arc::as_ref).filter(move |ix| ix.table() == table)
     }
 
     /// Looks a table up.
     pub fn table(&self, name: &str) -> Result<&Table, DbError> {
         self.tables
             .get(&name.to_ascii_lowercase())
+            .map(Arc::as_ref)
             .ok_or_else(|| DbError::UnknownTable { name: name.to_string() })
     }
 

@@ -6,10 +6,21 @@ use crate::lexer::{tokenize, Token};
 use crate::schema::ColumnType;
 use crate::value::Value;
 
+/// The deepest expression a statement may hold: the height of its syntax
+/// tree, each parenthesised group counting as one more level. Parsing
+/// recurses once per level, and so do verification, planning, compilation
+/// and evaluation; without a cap, a few thousand nested parentheses or a
+/// long `NOT` or unary-minus chain overflow the stack and abort the
+/// process. A statement at the cap still verifies, plans and runs on a
+/// 2 MiB thread stack with half the stack to spare, in an unoptimised build
+/// too: there, nested parentheses, the costliest shape at about 16 KiB a
+/// level, overflow such a stack at 128 levels.
+pub(crate) const MAX_EXPR_DEPTH: usize = 64;
+
 /// Parses one SQL statement (a trailing `;` is allowed).
 pub fn parse(sql: &str) -> Result<Statement, DbError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, open: 0 };
     let stmt = p.statement()?;
     p.eat_symbol(";");
     if !p.at_end() {
@@ -21,6 +32,9 @@ pub fn parse(sql: &str) -> Result<Statement, DbError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open around the current token: parentheses, `NOT`,
+    /// unary minus and aggregate arguments.
+    open: usize,
 }
 
 impl Parser {
@@ -314,45 +328,81 @@ impl Parser {
     }
 
     // ----- expression grammar, lowest precedence first -----
+    //
+    // Every rule returns its expression with its depth (see
+    // `MAX_EXPR_DEPTH`). Depths grow only in `deeper`, so no tree taller
+    // than the cap is ever built; `nested` bounds the recursion on the way
+    // down, before the inner tree exists.
 
     fn expr(&mut self) -> Result<Expr, DbError> {
-        self.or_expr()
+        Ok(self.or_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, DbError> {
-        let mut left = self.and_expr()?;
+    fn too_deep(&self) -> DbError {
+        self.error(&format!("expression nested deeper than {MAX_EXPR_DEPTH} levels"))
+    }
+
+    /// The depth of a node over children at most `below` deep.
+    fn deeper(&self, below: usize) -> Result<usize, DbError> {
+        if below >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(below + 1)
+    }
+
+    /// Runs `rule` one nesting level further in. With `open` levels around
+    /// it, the tree it returns ends at least `open + 2` deep, so a level
+    /// that could only exceed the cap is refused before recursing.
+    fn nested(
+        &mut self,
+        rule: fn(&mut Parser) -> Result<(Expr, usize), DbError>,
+    ) -> Result<(Expr, usize), DbError> {
+        if self.open + 1 >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.open += 1;
+        let parsed = rule(self);
+        self.open -= 1;
+        parsed
+    }
+
+    fn or_expr(&mut self) -> Result<(Expr, usize), DbError> {
+        let (mut left, mut depth) = self.and_expr()?;
         while self.eat_keyword("or") {
-            let right = self.and_expr()?;
+            let (right, d) = self.and_expr()?;
+            depth = self.deeper(depth.max(d))?;
             left = Expr::Binary { op: BinOp::Or, left: Box::new(left), right: Box::new(right) };
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, DbError> {
-        let mut left = self.not_expr()?;
+    fn and_expr(&mut self) -> Result<(Expr, usize), DbError> {
+        let (mut left, mut depth) = self.not_expr()?;
         while self.eat_keyword("and") {
-            let right = self.not_expr()?;
+            let (right, d) = self.not_expr()?;
+            depth = self.deeper(depth.max(d))?;
             left = Expr::Binary { op: BinOp::And, left: Box::new(left), right: Box::new(right) };
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn not_expr(&mut self) -> Result<Expr, DbError> {
+    fn not_expr(&mut self) -> Result<(Expr, usize), DbError> {
         if self.eat_keyword("not") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            let (inner, d) = self.nested(Parser::not_expr)?;
+            Ok((Expr::Not(Box::new(inner)), self.deeper(d)?))
         } else {
             self.comparison()
         }
     }
 
-    fn comparison(&mut self) -> Result<Expr, DbError> {
-        let left = self.additive()?;
+    fn comparison(&mut self) -> Result<(Expr, usize), DbError> {
+        let (left, dl) = self.additive()?;
 
         // IS [NOT] NULL
         if self.eat_keyword("is") {
             let negated = self.eat_keyword("not");
             self.expect_keyword("null")?;
-            return Ok(Expr::IsNull { expr: Box::new(left), negated });
+            return Ok((Expr::IsNull { expr: Box::new(left), negated }, self.deeper(dl)?));
         }
 
         // [NOT] LIKE / IN / BETWEEN
@@ -360,7 +410,8 @@ impl Parser {
         if self.eat_keyword("like") {
             match self.advance() {
                 Some(Token::Str(pattern)) => {
-                    return Ok(Expr::Like { expr: Box::new(left), pattern, negated })
+                    let depth = self.deeper(dl)?;
+                    return Ok((Expr::Like { expr: Box::new(left), pattern, negated }, depth));
                 }
                 _ => return Err(self.error("LIKE expects a string pattern")),
             }
@@ -368,25 +419,33 @@ impl Parser {
         if self.eat_keyword("in") {
             self.expect_symbol("(")?;
             let mut list = Vec::new();
+            let mut below = dl;
             loop {
-                list.push(self.additive()?);
+                let (item, d) = self.additive()?;
+                list.push(item);
+                below = below.max(d);
                 if !self.eat_symbol(",") {
                     break;
                 }
             }
             self.expect_symbol(")")?;
-            return Ok(Expr::InList { expr: Box::new(left), list, negated });
+            let depth = self.deeper(below)?;
+            return Ok((Expr::InList { expr: Box::new(left), list, negated }, depth));
         }
         if self.eat_keyword("between") {
-            let low = self.additive()?;
+            let (low, dlow) = self.additive()?;
             self.expect_keyword("and")?;
-            let high = self.additive()?;
-            return Ok(Expr::Between {
-                expr: Box::new(left),
-                low: Box::new(low),
-                high: Box::new(high),
-                negated,
-            });
+            let (high, dhigh) = self.additive()?;
+            let depth = self.deeper(dl.max(dlow).max(dhigh))?;
+            return Ok((
+                Expr::Between {
+                    expr: Box::new(left),
+                    low: Box::new(low),
+                    high: Box::new(high),
+                    negated,
+                },
+                depth,
+            ));
         }
         if negated {
             return Err(self.error("expected LIKE, IN, or BETWEEN after NOT"));
@@ -408,14 +467,15 @@ impl Parser {
             None
         };
         if let Some(op) = op {
-            let right = self.additive()?;
-            return Ok(Expr::Binary { op, left: Box::new(left), right: Box::new(right) });
+            let (right, dr) = self.additive()?;
+            let depth = self.deeper(dl.max(dr))?;
+            return Ok((Expr::Binary { op, left: Box::new(left), right: Box::new(right) }, depth));
         }
-        Ok(left)
+        Ok((left, dl))
     }
 
-    fn additive(&mut self) -> Result<Expr, DbError> {
-        let mut left = self.multiplicative()?;
+    fn additive(&mut self) -> Result<(Expr, usize), DbError> {
+        let (mut left, mut depth) = self.multiplicative()?;
         loop {
             let op = if self.eat_symbol("+") {
                 BinOp::Add
@@ -424,14 +484,15 @@ impl Parser {
             } else {
                 break;
             };
-            let right = self.multiplicative()?;
+            let (right, d) = self.multiplicative()?;
+            depth = self.deeper(depth.max(d))?;
             left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn multiplicative(&mut self) -> Result<Expr, DbError> {
-        let mut left = self.unary()?;
+    fn multiplicative(&mut self) -> Result<(Expr, usize), DbError> {
+        let (mut left, mut depth) = self.unary()?;
         loop {
             let op = if self.eat_symbol("*") {
                 BinOp::Mul
@@ -440,64 +501,67 @@ impl Parser {
             } else {
                 break;
             };
-            let right = self.unary()?;
+            let (right, d) = self.unary()?;
+            depth = self.deeper(depth.max(d))?;
             left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn unary(&mut self) -> Result<Expr, DbError> {
+    fn unary(&mut self) -> Result<(Expr, usize), DbError> {
         if self.eat_symbol("-") {
-            Ok(Expr::Neg(Box::new(self.unary()?)))
+            let (inner, d) = self.nested(Parser::unary)?;
+            Ok((Expr::Neg(Box::new(inner)), self.deeper(d)?))
         } else {
             self.primary()
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, DbError> {
+    fn primary(&mut self) -> Result<(Expr, usize), DbError> {
         match self.peek().cloned() {
             Some(Token::Number(n)) => {
                 self.pos += 1;
                 if n.fract() == 0.0 && n.abs() < 9.2e18 {
-                    Ok(Expr::Literal(Value::Int(n as i64)))
+                    Ok((Expr::Literal(Value::Int(n as i64)), 1))
                 } else {
-                    Ok(Expr::Literal(Value::Float(n)))
+                    Ok((Expr::Literal(Value::Float(n)), 1))
                 }
             }
             Some(Token::Str(s)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Value::Text(s)))
+                Ok((Expr::Literal(Value::Text(s)), 1))
             }
             Some(Token::Symbol("(")) => {
                 self.pos += 1;
-                let e = self.expr()?;
+                let (e, d) = self.nested(Parser::or_expr)?;
                 self.expect_symbol(")")?;
-                Ok(e)
+                Ok((e, self.deeper(d)?))
             }
             Some(Token::Ident(ident)) => {
                 if ident.eq_ignore_ascii_case("null") {
                     self.pos += 1;
-                    return Ok(Expr::Literal(Value::Null));
+                    return Ok((Expr::Literal(Value::Null), 1));
                 }
                 if ident.eq_ignore_ascii_case("true") {
                     self.pos += 1;
-                    return Ok(Expr::Literal(Value::Bool(true)));
+                    return Ok((Expr::Literal(Value::Bool(true)), 1));
                 }
                 if ident.eq_ignore_ascii_case("false") {
                     self.pos += 1;
-                    return Ok(Expr::Literal(Value::Bool(false)));
+                    return Ok((Expr::Literal(Value::Bool(false)), 1));
                 }
                 // Aggregate call?
                 if let Some(func) = Aggregate::parse(&ident) {
                     if matches!(self.tokens.get(self.pos + 1), Some(Token::Symbol("("))) {
                         self.pos += 2; // name and '('
-                        let arg = if self.eat_symbol("*") {
-                            None
+                        let (arg, depth) = if self.eat_symbol("*") {
+                            (None, 1)
                         } else {
-                            Some(Box::new(self.expr()?))
+                            let (a, d) = self.nested(Parser::or_expr)?;
+                            (Some(Box::new(a)), self.deeper(d)?)
                         };
                         self.expect_symbol(")")?;
-                        return Ok(Expr::AggregateCall { func, arg });
+                        return Ok((Expr::AggregateCall { func, arg }, depth));
                     }
                 }
                 if Self::is_reserved(&ident) {
@@ -507,9 +571,9 @@ impl Parser {
                 // Qualified column?
                 if self.eat_symbol(".") {
                     let col = self.identifier()?;
-                    Ok(Expr::Column { table: Some(ident.to_ascii_lowercase()), name: col })
+                    Ok((Expr::Column { table: Some(ident.to_ascii_lowercase()), name: col }, 1))
                 } else {
-                    Ok(Expr::Column { table: None, name: ident.to_ascii_lowercase() })
+                    Ok((Expr::Column { table: None, name: ident.to_ascii_lowercase() }, 1))
                 }
             }
             _ => Err(self.error("expected expression")),
@@ -696,6 +760,75 @@ mod tests {
         assert!(parse("INSERT INTO t VALUES").is_err());
         assert!(parse("CREATE TABLE t (a BLOB)").is_err());
         assert!(parse("SELECT a FROM t INNER b").is_err());
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack, the default for spawned
+    /// threads, whatever `RUST_MIN_STACK` says.
+    fn on_2mib_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("thread spawns")
+            .join()
+            .expect("no stack overflow")
+    }
+
+    /// Statements `depth` levels deep in each recursive shape: nested
+    /// parentheses in a projection, a WHERE and an aggregate argument, and
+    /// chains of `NOT`, unary minus and `+`.
+    fn nested_statements(depth: usize) -> Vec<String> {
+        let parens = |n: usize, inner: &str| format!("{}{inner}{}", "(".repeat(n), ")".repeat(n));
+        vec![
+            format!("SELECT {} FROM m", parens(depth - 1, "score")),
+            format!("SELECT name FROM m WHERE {}", parens(depth - 2, "score > 1")),
+            format!("SELECT SUM({}) FROM m", parens(depth - 2, "score")),
+            format!("SELECT name FROM m WHERE {}score > 1", "NOT ".repeat(depth - 2)),
+            format!("SELECT {}score FROM m", "- ".repeat(depth - 1)),
+            format!("SELECT score{} FROM m", " + 1".repeat(depth - 1)),
+        ]
+    }
+
+    fn small_db() -> crate::Database {
+        let mut db = crate::Database::new();
+        db.execute("CREATE TABLE m (name TEXT, score REAL)").unwrap();
+        db.execute("INSERT INTO m VALUES ('a', 1.5), ('b', 2.5), ('c', -0.5)").unwrap();
+        db.create_index("ix_m_score", "m", &["score"]).unwrap();
+        db
+    }
+
+    fn is_depth_error(e: &DbError) -> bool {
+        matches!(e, DbError::Parse { message, .. } if message.contains("nested deeper than"))
+    }
+
+    #[test]
+    fn statements_at_the_depth_cap_verify_plan_and_run_on_a_2mib_stack() {
+        on_2mib_stack(|| {
+            let db = small_db();
+            for sql in nested_statements(MAX_EXPR_DEPTH) {
+                let planned = db.query(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+                assert_eq!(planned, db.query_scan(&sql).unwrap(), "{sql}");
+                assert!(!planned.rows.is_empty(), "{sql}");
+                db.explain(&sql).unwrap();
+            }
+            for sql in nested_statements(MAX_EXPR_DEPTH + 1) {
+                let err = db.query(&sql).unwrap_err();
+                assert!(is_depth_error(&err), "{sql}: {err}");
+            }
+        });
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_parse_error_on_a_2mib_stack() {
+        on_2mib_stack(|| {
+            let db = small_db();
+            for sql in nested_statements(100_000) {
+                let err = parse(&sql).unwrap_err();
+                assert!(is_depth_error(&err), "{err}");
+                assert!(is_depth_error(&db.query(&sql).unwrap_err()));
+            }
+            let aggregates = format!("SELECT {}1{} FROM m", "SUM(".repeat(100_000), ")".repeat(100_000));
+            assert!(is_depth_error(&parse(&aggregates).unwrap_err()));
+        });
     }
 
     #[test]

@@ -214,3 +214,112 @@ fn between_is_inclusive_range() {
         assert_eq!(r.rows[0][0].clone(), Value::Int(expected as i64));
     }
 }
+
+/// One write, replayable on any database.
+#[derive(Debug, Clone)]
+enum Write {
+    CreateTable(&'static str),
+    InsertRow(&'static str, (i64, f64, String)),
+    CreateIndex(String, &'static str, &'static [&'static str]),
+    ExecuteInsert(&'static str, Vec<(i64, f64, String)>),
+}
+
+const TABLES: [&str; 3] = ["a", "b", "c"];
+const INDEX_KEYS: [&[&str]; 4] = [&["k"], &["v"], &["s"], &["s", "k"]];
+
+fn random_write(rng: &mut StdRng) -> Write {
+    let table = TABLES[rng.gen_range(0..TABLES.len())];
+    // Quarter steps print exactly, so SQL literals and programmatic values
+    // store the same floats.
+    let row = |rng: &mut StdRng| {
+        let k = rng.gen_range(0..9) as i64 - 4;
+        (k, rng.gen_range(0..17) as f64 * 0.25 - 2.0, word(rng, 1, 3))
+    };
+    match rng.gen_range(0..10) {
+        0 => Write::CreateTable(table),
+        1 => {
+            let key = INDEX_KEYS[rng.gen_range(0..INDEX_KEYS.len())];
+            Write::CreateIndex(format!("ix_{table}_{}", key.concat()), table, key)
+        }
+        2..=5 => Write::InsertRow(table, row(rng)),
+        _ => Write::ExecuteInsert(table, (0..rng.gen_range(1..4)).map(|_| row(rng)).collect()),
+    }
+}
+
+/// Applies `w`, returning whether it succeeded: a failed write (a
+/// duplicate table or index, an unknown table) must leave the database
+/// as it was, on a clone and on the reference alike.
+fn apply(db: &mut Database, w: &Write) -> bool {
+    let schema = || {
+        Schema::new(vec![
+            Column::new("k", ColumnType::Int),
+            Column::new("v", ColumnType::Float),
+            Column::new("s", ColumnType::Text),
+        ])
+    };
+    match w {
+        Write::CreateTable(t) => db.create_table(*t, schema()).is_ok(),
+        Write::InsertRow(t, (k, v, s)) => {
+            db.insert_row(t, vec![Value::Int(*k), Value::Float(*v), Value::Text(s.clone())]).is_ok()
+        }
+        Write::CreateIndex(name, t, cols) => db.create_index(name.as_str(), t, cols).is_ok(),
+        Write::ExecuteInsert(t, rows) => {
+            let values: Vec<String> =
+                rows.iter().map(|(k, v, s)| format!("({k}, {v:?}, '{s}')")).collect();
+            db.execute(&format!("INSERT INTO {t} VALUES {}", values.join(", "))).is_ok()
+        }
+    }
+}
+
+/// Queries covering seq scans, index seeks on every key, grouping,
+/// ordering and a join between two tables.
+fn isolation_queries() -> Vec<String> {
+    let mut out = Vec::new();
+    for t in TABLES {
+        out.push(format!("SELECT * FROM {t}"));
+        out.push(format!("SELECT s, k FROM {t} WHERE k = 1 ORDER BY v DESC"));
+        out.push(format!("SELECT k FROM {t} WHERE v >= 0.5 AND s > 'm'"));
+        out.push(format!("SELECT s, COUNT(*), SUM(v) FROM {t} GROUP BY s ORDER BY s"));
+    }
+    out.push("SELECT a.k, b.v FROM a JOIN b ON a.s = b.s WHERE a.k > 0 ORDER BY b.v".into());
+    out
+}
+
+#[test]
+fn clones_never_see_each_others_writes() {
+    let queries = isolation_queries();
+    for mut rng in cases() {
+        // Each live handle keeps the log of writes it has seen and whether
+        // each succeeded; clones inherit their source's log.
+        let mut handles: Vec<(Database, Vec<(Write, bool)>)> = vec![(Database::new(), Vec::new())];
+        for _ in 0..40 {
+            let h = rng.gen_range(0..handles.len());
+            match rng.gen_range(0..10) {
+                0 | 1 => {
+                    let copy = handles[h].clone();
+                    handles.push(copy);
+                }
+                2 if handles.len() > 1 => {
+                    handles.swap_remove(h);
+                }
+                _ => {
+                    let w = random_write(&mut rng);
+                    let (db, log) = &mut handles[h];
+                    let ok = apply(db, &w);
+                    log.push((w, ok));
+                }
+            }
+            for (db, log) in &handles {
+                let mut reference = Database::new();
+                for (w, ok) in log {
+                    assert_eq!(apply(&mut reference, w), *ok, "{w:?} after {log:?}");
+                }
+                for sql in &queries {
+                    let expected = reference.query_scan(sql);
+                    assert_eq!(db.query_scan(sql), expected, "{sql} after {log:?}");
+                    assert_eq!(db.query(sql), expected, "{sql} after {log:?}");
+                }
+            }
+        }
+    }
+}

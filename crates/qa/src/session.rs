@@ -38,7 +38,12 @@ pub struct QaResponse {
 }
 
 /// A Q&A session over a populated knowledge base.
-#[derive(Debug)]
+///
+/// Cloning is cheap: the clone shares the knowledge base's tables and
+/// indexes copy-on-write (see [`Database`]) and copies only the lexicon and
+/// the history. A server opens one session and answers each question on a
+/// clone of it.
+#[derive(Debug, Clone)]
 pub struct QaSession {
     db: Database,
     lexicon: Lexicon,

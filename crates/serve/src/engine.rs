@@ -33,7 +33,7 @@ use easytime_db::Database;
 use easytime_eval::{evaluate, MetricRegistry, ValidatedEvalConfig};
 use easytime_models::ModelSpec;
 use easytime_obs::Histogram;
-use easytime_qa::QaSession;
+use easytime_qa::{QaError, QaSession};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -44,25 +44,30 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Everything the handlers need: the pretrained recommender, the metric
-/// registry, a knowledge-base snapshot for Q&A, and the evaluation
-/// configuration applied to [`Request::Evaluate`].
+/// registry, a Q&A session over a knowledge-base snapshot, and the
+/// evaluation configuration applied to [`Request::Evaluate`].
 #[derive(Clone)]
 pub struct ServeContext {
     recommender: Recommender,
     metrics: MetricRegistry,
-    knowledge: Database,
+    /// Opened once. Each [`Request::Ask`] runs on a clone with an empty
+    /// history, which shares the knowledge base's tables instead of copying
+    /// them. When the knowledge base cannot open a session, the error is
+    /// kept and every `Ask` returns it.
+    qa: Result<QaSession, QaError>,
     eval: ValidatedEvalConfig,
 }
 
 impl ServeContext {
-    /// Builds a context from parts.
+    /// Builds a context from parts, opening the Q&A session over
+    /// `knowledge`.
     pub fn new(
         recommender: Recommender,
         metrics: MetricRegistry,
         knowledge: Database,
         eval: ValidatedEvalConfig,
     ) -> ServeContext {
-        ServeContext { recommender, metrics, knowledge, eval }
+        ServeContext { recommender, metrics, qa: QaSession::new(knowledge), eval }
     }
 
     /// Builds a context from a platform instance: clones its metric
@@ -492,7 +497,10 @@ fn process_batch(inner: &Inner, batch: Vec<Pending>) {
                 reply(inner, &p.tx, p.enqueued_ns, result);
             }
             Request::Ask { question } => {
-                let result = QaSession::new(inner.ctx.knowledge.clone())
+                let result = inner
+                    .ctx
+                    .qa
+                    .clone()
                     .and_then(|mut session| session.ask(&question))
                     .map(|response| Response::Ask { response })
                     .map_err(ServeError::Qa);

@@ -300,6 +300,22 @@ fn evaluate_and_ask_serve_through_the_worker_pool() {
 }
 
 #[test]
+fn ask_without_a_knowledge_base_fails_the_same_way_every_time() {
+    // `context()` holds an empty database, which cannot open a Q&A
+    // session: the context keeps that error and every Ask returns it.
+    let manual = ManualClock::new();
+    let engine = ServeEngine::inline(context(), serve_config(), manual.clock());
+    let expected = easytime_qa::QaSession::new(easytime_db::Database::new()).unwrap_err();
+    for _ in 0..2 {
+        match run_one(&engine, Request::Ask { question: "top 3 methods by mae".into() }) {
+            Err(ServeError::Qa(e)) => assert_eq!(e, expected),
+            other => panic!("expected the session-open error, got {other:?}"),
+        }
+    }
+    assert_eq!(engine.stats().failed, 2);
+}
+
+#[test]
 fn fingerprints_key_tenants_and_survive_appends() {
     let seed = 0xf1f0;
     let short = tenant_series("tenant", 200, 3);

@@ -10,6 +10,14 @@ cargo build --release --all-targets
 echo "=== test ==="
 cargo test -q --release
 
+echo "=== end-to-end benchmark: build + guards ==="
+# e2ebench is a cargo workspace of its own, so the build above never
+# compiles it, and a public-API change that breaks it would first show in
+# a benchmark run. Its guard tests drive the binary with short runs of all
+# four workloads: determinism counts, traced-replay equality, and
+# injected-corruption detection. `.bench_build/` is its target directory.
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path e2ebench/Cargo.toml
+
 echo "=== clippy (compiler-enforced rules: R1, R3, R5, R7, R9, R11, R0) ==="
 # The lint table in the root Cargo.toml (plus the scoped `#![warn(..)]`
 # lines in linalg, models, and eval) carries the rules rustc and clippy
