@@ -48,12 +48,12 @@ impl std::fmt::Debug for AutoEnsemble {
 }
 
 /// Iterations of exponentiated-gradient weight learning.
-const WEIGHT_ITERATIONS: usize = 1500;
+pub(crate) const WEIGHT_ITERATIONS: usize = 1500;
 
 impl AutoEnsemble {
     /// Fits an ensemble for `series` using the recommender's top-`k`
     /// methods. `val_ratio` is the fraction of the series reserved for
-    /// weight learning (e.g. 0.2).
+    /// weight learning, in (0, 0.5) (e.g. 0.2).
     pub fn fit(
         recommender: &Recommender,
         series: &TimeSeries,
@@ -61,11 +61,6 @@ impl AutoEnsemble {
         val_ratio: f64,
         mode: WeightMode,
     ) -> Result<AutoEnsemble, AutoMlError> {
-        if !(0.0 < val_ratio && val_ratio < 0.5) {
-            return Err(AutoMlError::InvalidInput {
-                reason: format!("val_ratio {val_ratio} must be in (0, 0.5)"),
-            });
-        }
         let candidates = {
             let mut sp = easytime_obs::span("automl.recommend");
             sp.attr_u64("k", k as u64);
@@ -75,13 +70,19 @@ impl AutoEnsemble {
     }
 
     /// Fits an ensemble from an explicit member list (used by experiments
-    /// and by the random-selection baseline).
+    /// and by the random-selection baseline). `val_ratio` must lie in
+    /// (0, 0.5), as for [`AutoEnsemble::fit`].
     pub fn fit_with_members(
         method_names: &[String],
         series: &TimeSeries,
         val_ratio: f64,
         mode: WeightMode,
     ) -> Result<AutoEnsemble, AutoMlError> {
+        if !(0.0 < val_ratio && val_ratio < 0.5) {
+            return Err(AutoMlError::InvalidInput {
+                reason: format!("val_ratio {val_ratio} must be in (0, 0.5)"),
+            });
+        }
         if method_names.is_empty() {
             return Err(AutoMlError::InvalidInput { reason: "no candidate methods".into() });
         }
@@ -317,11 +318,12 @@ mod tests {
         let series = seasonal_trend(100);
         assert!(AutoEnsemble::fit_with_members(&[], &series, 0.2, WeightMode::Learned).is_err());
         let members = vec!["naive".to_string()];
-        assert!(
-            AutoEnsemble::fit_with_members(&members, &series, 0.0, WeightMode::Learned).is_err()
-                || AutoEnsemble::fit_with_members(&members, &series, 0.0, WeightMode::Learned)
-                    .is_ok() // val_ratio validated in fit(); fit_with_members gets len checks
-        );
+        for val_ratio in [0.0, 0.5, 0.9, -0.1, f64::NAN] {
+            let fit =
+                AutoEnsemble::fit_with_members(&members, &series, val_ratio, WeightMode::Learned);
+            assert!(fit.is_err(), "val_ratio {val_ratio} must be rejected");
+        }
+        assert!(AutoEnsemble::fit_with_members(&members, &series, 0.2, WeightMode::Learned).is_ok());
         let tiny = TimeSeries::new("t", vec![1.0, 2.0], Frequency::Daily).unwrap();
         assert!(AutoEnsemble::fit_with_members(&members, &tiny, 0.2, WeightMode::Learned).is_err());
     }

@@ -3,7 +3,8 @@
 //! annotated functions must match the paths the R18 design names (the
 //! rolling-evaluation window loop, the embedding path, the linalg kernels
 //! plus the obs facade they report through, the SQL index seek/probe
-//! path, and the compiled executor's per-row aggregate fold).
+//! path, the compiled executor's per-row aggregate fold, the boosting
+//! round search, and the ensemble weight steps).
 //!
 //! The static side (this file) keeps the annotation list honest: adding a
 //! hot marker without wiring the function into an allocator-counting test
@@ -19,7 +20,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The exact set of `(crate, fn)` keys that must carry a hot annotation.
-const EXPECTED_HOT: [(&str, &str); 28] = [
+const EXPECTED_HOT: [(&str, &str); 29] = [
+    ("easytime-automl", "descend"),
     ("easytime-db", "accumulate"),
     ("easytime-db", "cmp_values"),
     ("easytime-db", "collect_range"),
@@ -51,7 +53,7 @@ const EXPECTED_HOT: [(&str, &str); 28] = [
 ];
 
 /// The counting-allocator tests and the entry points each one drives.
-const SYNC: [(&str, &[&str]); 6] = [
+const SYNC: [(&str, &[&str]); 7] = [
     (
         "crates/obs/tests/no_alloc.rs",
         &[
@@ -72,6 +74,7 @@ const SYNC: [(&str, &[&str]); 6] = [
     ("crates/db/tests/no_alloc_seek.rs", &["probe_into", "collect_range"]),
     ("crates/models/tests/no_alloc_boost.rs", &["best_stump"]),
     ("crates/db/tests/no_alloc_query.rs", &["accumulate"]),
+    ("crates/automl/tests/no_alloc_weights.rs", &["descend"]),
 ];
 
 fn workspace_root() -> PathBuf {

@@ -86,19 +86,24 @@ struct SplitTables {
 }
 
 impl SplitTables {
-    /// Sorts each lag column once for its thresholds and indexes every row.
+    /// Builds the tables for `values`, sorting the series once for every
+    /// lag's thresholds (see [`lag_deciles`]), and indexes every row.
     fn new(values: &[f64], lookback: usize) -> SplitTables {
+        SplitTables::with_thresholds(values, lookback, lag_deciles(values, lookback))
+    }
+
+    /// Builds the tables from each lag's decile `thresholds`, indexing
+    /// every row of every lag column against them.
+    fn with_thresholds(
+        values: &[f64],
+        lookback: usize,
+        thresholds: Vec<[f64; DECILES]>,
+    ) -> SplitTables {
         let rows = values.len() - lookback;
-        let mut thresholds = Vec::with_capacity(lookback);
         let mut left_n = Vec::with_capacity(lookback);
         let mut first_left = Vec::with_capacity(lookback * rows);
-        let mut sorted = Vec::with_capacity(rows);
-        for lag in 1..=lookback {
+        for (lag, t) in (1..=lookback).zip(&thresholds) {
             let feats = &values[lookback - lag..values.len() - lag];
-            sorted.clear();
-            sorted.extend_from_slice(feats);
-            sorted.sort_unstable_by(f64::total_cmp);
-            let t: [f64; DECILES] = std::array::from_fn(|q| sorted[((q + 1) * (rows - 1)) / 10]);
             let mut counts = [0usize; DECILES];
             for &f in feats {
                 // Series values are finite, so `f > th` is exactly "not
@@ -109,7 +114,6 @@ impl SplitTables {
                 }
                 first_left.push(first);
             }
-            thresholds.push(t);
             left_n.push(counts);
         }
         let estimates = vec![[0.0; DECILES]; lookback];
@@ -275,6 +279,44 @@ impl SplitTables {
             right: right / (self.rows - n) as f64,
         }
     }
+}
+
+/// Each lag's decile thresholds: the values at ranks `(q + 1)(rows − 1)/10`
+/// of its column sorted by `total_cmp`. Every lag column is a window of the
+/// series, so the series is sorted once, as (value, index) pairs, and each
+/// column's sorted values are that order filtered to the column's window.
+/// Values that `total_cmp` ranks equal have equal bits, so the filtered
+/// list is bit for bit the one a sort of the column gives.
+fn lag_deciles(values: &[f64], lookback: usize) -> Vec<[f64; DECILES]> {
+    let mut order: Vec<(f64, usize)> = values.iter().copied().zip(0..).collect();
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut sorted = Vec::with_capacity(values.len() - lookback);
+    (1..=lookback)
+        .map(|lag| {
+            let window = lookback - lag..values.len() - lag;
+            sorted.clear();
+            sorted.extend(order.iter().filter(|(_, i)| window.contains(i)).map(|&(v, _)| v));
+            deciles(&sorted)
+        })
+        .collect()
+}
+
+/// The per-lag sort that [`lag_deciles`] replaced, kept as its oracle: each
+/// lag column is copied and sorted on its own.
+#[cfg(test)]
+fn lag_deciles_reference(values: &[f64], lookback: usize) -> Vec<[f64; DECILES]> {
+    (1..=lookback)
+        .map(|lag| {
+            let mut sorted = values[lookback - lag..values.len() - lag].to_vec();
+            sorted.sort_unstable_by(f64::total_cmp);
+            deciles(&sorted)
+        })
+        .collect()
+}
+
+/// The nine decile thresholds of a sorted, non-empty column.
+fn deciles(sorted: &[f64]) -> [f64; DECILES] {
+    std::array::from_fn(|q| sorted[((q + 1) * (sorted.len() - 1)) / 10])
 }
 
 // The screen's passes accumulate in four lanes, so that no addition waits
@@ -685,8 +727,41 @@ mod tests {
         m.forecast(8).unwrap().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Asserts that `tables`, built from one sort of the series, equal
+    /// field by field and bit for bit the tables built from per-lag sorts.
+    fn assert_tables_match_per_lag_sorts(
+        tables: &SplitTables,
+        values: &[f64],
+        lookback: usize,
+        what: &str,
+    ) {
+        let thresholds = lag_deciles_reference(values, lookback);
+        let oracle = SplitTables::with_thresholds(values, lookback, thresholds);
+        let bits = |t: &SplitTables| -> Vec<u64> {
+            t.thresholds.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(tables.rows, oracle.rows, "{what}: rows");
+        assert_eq!(bits(tables), bits(&oracle), "{what}: thresholds");
+        assert_eq!(tables.left_n, oracle.left_n, "{what}: left counts");
+        assert_eq!(tables.first_left, oracle.first_left, "{what}: first-left deciles");
+    }
+
     #[test]
     fn split_tables_pick_the_oracle_stump_every_round() {
+        // Tie-heavy inputs first: periodic integers, whose lag columns hold
+        // the same values, and a series holding both signed zeros, which
+        // `total_cmp` orders but `>` does not.
+        let periodic: Vec<f64> = (0..60).map(|t| [3.0, -1.0, 4.0, 1.0, -5.0][t % 5]).collect();
+        let zeros: Vec<f64> =
+            (0..60).map(|t| [0.0, -0.0, 1.0, -0.0, 0.0, -2.5, 0.0][t % 7]).collect();
+        for (name, values) in [("periodic", periodic), ("signed zeros", zeros)] {
+            for lookback in [1, 5, 12, 20] {
+                let tables = SplitTables::new(&values, lookback);
+                let what = format!("{name}, lookback {lookback}");
+                assert_tables_match_per_lag_sorts(&tables, &values, lookback, &what);
+            }
+        }
+
         let (mut rounds, mut tied_lags, mut clamped, mut constant) = (0, 0, 0, 0);
         let (mut single, mut several_lags, mut unscreened, mut not_finite) = (0, 0, 0, 0);
         for (case, mut rng) in cases().enumerate() {
@@ -697,6 +772,7 @@ mod tests {
             let lb = m.effective_lookback(values.len());
             clamped += usize::from(lb < lookback);
             let mut tables = SplitTables::new(&values, lb);
+            assert_tables_match_per_lag_sorts(&tables, &values, lb, &format!("case {case}"));
             let tied = |t: &&[f64; DECILES]| t.windows(2).any(|w| w[0].total_cmp(&w[1]).is_eq());
             tied_lags += tables.thresholds.iter().filter(tied).count();
             m.boost(&values, lb, |residuals| {

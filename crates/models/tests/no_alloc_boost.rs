@@ -3,13 +3,14 @@
 //!
 //! [`easytime_obs::CountingAlloc`] wraps the system allocator while
 //! `GradientBoost::fit` runs on a series with 5 rounds and with 200.
-//! Everything a fit allocates is per fit: the split tables (one sort
-//! buffer, the per-lag thresholds, left counts and row indexes, and the
-//! buffer of per-candidate error estimates), the residuals, the stump
-//! vector (sized once from the round count) and the fitted tail. Each
-//! round's search, the private hot `best_stump` that `fit` calls once per
-//! round, bins the residuals into stack arrays, writes its estimates into
-//! that per-fit buffer, and sweeps with stack accumulators only, so 195
+//! Everything a fit allocates is per fit: the split tables (the series
+//! sorted once as (value, index) pairs and one column buffer, the per-lag
+//! thresholds, left counts and row indexes, and the buffer of
+//! per-candidate error estimates), the residuals, the stump vector (sized
+//! once from the round count) and the fitted tail. Each round's search,
+//! the private hot `best_stump` that `fit` calls once per round, bins the
+//! residuals into stack arrays, writes its estimates into that per-fit
+//! buffer, and sweeps with stack accumulators only, so 195
 //! extra rounds must not cost one extra allocation. Three series reach its
 //! three paths: a noisy one leaves a single candidate in every round; a
 //! periodic integer series repeats its lag columns, so tied splits on
